@@ -320,8 +320,9 @@ fn per_tier_gflops() -> Vec<(&'static str, f64, f64)> {
 /// and reports each density's sparse-to-dense throughput ratio plus the
 /// highest swept density at which the sparse walk still wins — the
 /// empirical justification for the fixed `SPARSE_DENSE_CUTOVER` routing
-/// constant (densities above it run the dense kernel on a materialized
-/// copy, so their ratio reads ≈ 1).
+/// constant. Only densities strictly below the cutover take the sparse
+/// walk; from the cutover up the kernel runs the dense kernel on a
+/// materialized copy, so those ratios read ≈ 1 and are not counted.
 fn density_crossover(dense_gflops: f64) -> (Vec<(f64, f64)>, f64) {
     let densities = [0.05, 0.1, 0.2, 0.3, 0.35, 0.45, 0.6];
     let sweep: Vec<(f64, f64)> = densities
@@ -330,7 +331,7 @@ fn density_crossover(dense_gflops: f64) -> (Vec<(f64, f64)>, f64) {
         .collect();
     let crossover = sweep
         .iter()
-        .filter(|&&(d, ratio)| d <= gemm::SPARSE_DENSE_CUTOVER && ratio >= 1.0)
+        .filter(|&&(d, ratio)| d < gemm::SPARSE_DENSE_CUTOVER && ratio >= 1.0)
         .map(|&(d, _)| d)
         .fold(0.0f64, f64::max);
     (sweep, crossover)

@@ -251,8 +251,8 @@ pub fn gemm_into(
 /// One output row by a sequential fused dot: `out[j] = fma(row[k-1],
 /// b[k-1,j], … fma(row[0], b[0,j], 0.0))` in ascending-k order —
 /// bit-identical to the same row of [`gemm_into`] on every tier (see
-/// the module docs). Used by the clean-prefix fault path to recompute
-/// only the weight rows a fault touched.
+/// the module docs). The reference the clean-prefix fault path's
+/// sparse row recompute ([`sparse_row_into`]) is checked against.
 ///
 /// # Panics
 ///

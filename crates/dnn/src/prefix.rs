@@ -11,14 +11,19 @@
 //! - for each weight layer, the packed `[k, n·p]` right-hand matrix its
 //!   GEMM consumes (a pure function of the clean activations).
 //!
-//! A trial then only (1) recomputes the *dirty rows* of the first
-//! perturbed layer's output — one [`gemm_row_into`] per touched weight
-//! row, O(rows·k·batch) instead of a full GEMM — starting from a clone of
-//! that layer's cached clean output, and (2) runs the remaining suffix
-//! layers normally. The result is bit-identical to a full faulty forward
-//! pass: [`gemm_row_into`] reproduces any row of the blocked kernel bit
-//! for bit (see [`crate::gemm`]), untouched rows are byte-copies of the
-//! clean output, and the suffix runs the very same code either way.
+//! The clean pass can run from sparse-encoded weights
+//! ([`PrefixCache::build_sparse`]; an empty overlay builds it from the
+//! dense tensors). A trial then only (1) recomputes the *dirty rows* of
+//! the first perturbed layer's output from its fault-patched sparse
+//! matrix — one [`sparse_row_into`] per touched weight row, O(row
+//! nnz·batch) instead of a full GEMM — starting from a clone of that
+//! layer's cached clean output
+//! ([`PrefixCache::patched_outputs_sparse`]), and (2) runs the remaining
+//! suffix layers. The result is bit-identical to a full faulty forward
+//! pass: [`sparse_row_into`] reproduces any row of the blocked dense
+//! kernel bit for bit (see [`crate::gemm`]), untouched rows are
+//! byte-copies of the clean output, and the suffix computes the same
+//! fused-multiply-add chains either way.
 //! This holds on every SIMD dispatch tier: the row kernels route through
 //! the same tier table as the blocked GEMM, and all tiers compute the
 //! identical fused-multiply-add chains (DESIGN.md §14), so a cache built
@@ -27,10 +32,10 @@
 //! ownership never changes per-element operation order.
 //!
 //! Only "flat" networks (no [`Layer::Residual`]) are supported —
-//! [`PrefixCache::build`] returns `None` otherwise and callers fall back
-//! to a full forward pass.
+//! [`PrefixCache::build_sparse`] returns `None` otherwise and callers
+//! fall back to a full forward pass.
 
-use crate::gemm::{gemm_row_into, sparse_row_into};
+use crate::gemm::sparse_row_into;
 use crate::layer::{ForwardScratch, Layer, RhsMeta};
 use crate::network::Network;
 use crate::sparse::SparseMatrix;
@@ -64,21 +69,17 @@ pub struct PrefixCache {
 impl PrefixCache {
     /// Runs one clean batched forward pass, recording every intermediate
     /// activation and each weight layer's packed right-hand matrix.
+    /// Weight layer `i` (in site order, == [`Network::weight_matrices`]
+    /// order) multiplies from the sparse-encoded `weights[i]` when
+    /// present, reusing the site's already-packed right-hand matrix — so
+    /// the clean build runs O(nnz) per weight layer. Missing / `None`
+    /// entries (an empty `weights` for all of them) use the dense
+    /// tensor; both are bit-identical when each present entry
+    /// materializes to the layer's dense weights (see [`crate::gemm`]).
+    ///
     /// Returns `None` for networks containing residual blocks (their
     /// weight layers are nested, which the row-patching path does not
     /// model) — callers fall back to full forward passes.
-    pub fn build(net: &Network, inputs: &[Tensor], scratch: &mut ForwardScratch) -> Option<Self> {
-        Self::build_sparse(net, inputs, &[], scratch)
-    }
-
-    /// [`PrefixCache::build`] with clean activations computed from
-    /// sparse-encoded weights: weight layer `i` (in site order, ==
-    /// [`Network::weight_matrices`] order) multiplies from `weights[i]`
-    /// when present, reusing the site's already-packed right-hand matrix
-    /// — so the clean build runs O(nnz) per weight layer. Missing /
-    /// `None` entries fall back to the dense tensor. Bit-identical to
-    /// the dense build when each present entry materializes to the
-    /// layer's dense weights (see [`crate::gemm`]).
     pub fn build_sparse(
         net: &Network,
         inputs: &[Tensor],
@@ -147,61 +148,15 @@ impl PrefixCache {
         self.acts[0].len()
     }
 
-    /// Recomputes weight layer `site`'s batch outputs under a faulty
-    /// `weight`/`bias` for the given `dirty_rows` (ascending, deduped),
-    /// starting from a clone of the cached clean outputs. Each dirty row
-    /// is one sequential dot against the cached right-hand matrix —
-    /// bit-identical to the same row of a full batched forward. `row_buf`
-    /// is reusable staging for one output row across the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` does not match the site's geometry or a row is
-    /// out of range.
-    // maxnvm-lint: allow(R1/index-arith): row_buf is resized to n*p here and dirty rows are < rows per the weight-shape assert above, so o*p and sx*p slices are in range.
-    pub fn patched_outputs(
-        &self,
-        site: usize,
-        weight: &Tensor,
-        bias: &[f32],
-        dirty_rows: &[usize],
-        row_buf: &mut Vec<f32>,
-    ) -> Vec<Tensor> {
-        let s = &self.sites[site];
-        assert_eq!(
-            weight.shape(),
-            &[s.meta.rows, s.meta.k],
-            "weight shape vs site geometry"
-        );
-        let mut outs = self.acts[s.layer_pos + 1].clone();
-        let n = outs.len();
-        let p = s.meta.per_cols;
-        let total = n * p;
-        row_buf.clear();
-        row_buf.resize(total, 0.0);
-        for &o in dirty_rows {
-            gemm_row_into(
-                row_buf,
-                &weight.data()[o * s.meta.k..(o + 1) * s.meta.k],
-                &s.rhs,
-                s.meta.k,
-                total,
-            );
-            for v in row_buf.iter_mut() {
-                *v += bias[o];
-            }
-            for (sx, t) in outs.iter_mut().enumerate() {
-                t.data_mut()[o * p..(o + 1) * p].copy_from_slice(&row_buf[sx * p..(sx + 1) * p]);
-            }
-        }
-        outs
-    }
-
-    /// [`PrefixCache::patched_outputs`] from a sparse-encoded (already
-    /// fault-patched) weight matrix: each dirty row is one
-    /// [`sparse_row_into`] over its stored entries — O(row nnz · batch)
-    /// — and bit-identical to the dense row recompute of `w`'s
-    /// materialization (see [`crate::gemm`]).
+    /// Recomputes weight layer `site`'s batch outputs under a
+    /// sparse-encoded (already fault-patched) weight matrix `w` and its
+    /// `bias` for the given `dirty_rows` (ascending, deduped), starting
+    /// from a clone of the cached clean outputs. Each dirty row is one
+    /// [`sparse_row_into`] over its stored entries against the cached
+    /// right-hand matrix — O(row nnz · batch) — and bit-identical to the
+    /// same row of a full batched forward under `w`'s materialization
+    /// (see [`crate::gemm`]). `row_buf` is reusable staging for one
+    /// output row across the batch.
     ///
     /// # Panics
     ///
@@ -256,105 +211,6 @@ mod tests {
             .collect()
     }
 
-    /// Full faulty forward vs the prefix-patched path must agree bit for
-    /// bit, for faults in the first, middle, last, and multiple layers.
-    #[test]
-    fn patched_forward_is_bit_exact_with_full_faulty_forward() {
-        let net = lenet_mini(7);
-        let xs = batch(3, 6);
-        let mut scratch = ForwardScratch::default();
-        let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
-        assert_eq!(cache.num_sites(), net.weight_matrices().len());
-
-        let mats = net.weight_matrices();
-        // Delta sets keyed by weight-matrix index: first conv, middle
-        // conv, last fc, and a multi-layer combination.
-        let cases: Vec<Vec<(usize, Vec<WeightDelta>)>> = vec![
-            vec![(
-                0,
-                vec![WeightDelta {
-                    slot: 3,
-                    value: 2.5,
-                }],
-            )],
-            vec![(
-                1,
-                vec![
-                    WeightDelta {
-                        slot: 11,
-                        value: -1.75,
-                    },
-                    WeightDelta {
-                        slot: 95,
-                        value: 0.5,
-                    },
-                ],
-            )],
-            vec![(
-                mats.len() - 1,
-                vec![WeightDelta {
-                    slot: 1,
-                    value: 9.0,
-                }],
-            )],
-            vec![
-                (
-                    1,
-                    vec![WeightDelta {
-                        slot: 40,
-                        value: -3.0,
-                    }],
-                ),
-                (
-                    2,
-                    vec![WeightDelta {
-                        slot: 7,
-                        value: 1.25,
-                    }],
-                ),
-                (
-                    mats.len() - 1,
-                    vec![WeightDelta {
-                        slot: 0,
-                        value: -0.5,
-                    }],
-                ),
-            ],
-        ];
-        let mut row_buf = Vec::new();
-        for case in &cases {
-            let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); mats.len()];
-            for (i, ds) in case {
-                deltas[*i] = ds.clone();
-            }
-            let mut faulty = net.clone();
-            let mut undo = Vec::new();
-            faulty.apply_weight_deltas(&deltas, &mut undo);
-
-            let full: Vec<Tensor> = faulty.forward_batch_scratch(&xs, &mut scratch);
-
-            let first = deltas
-                .iter()
-                .position(|d| !d.is_empty())
-                .expect("has deltas");
-            let pos = cache.site_layer(first);
-            let (w, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
-            let mut rows: Vec<usize> = deltas[first]
-                .iter()
-                .map(|d| d.slot as usize / mats[first].cols)
-                .collect();
-            rows.sort_unstable();
-            rows.dedup();
-            let patched = cache.patched_outputs(first, w, b, &rows, &mut row_buf);
-            let logits = faulty.forward_suffix(pos + 1, patched, &mut scratch);
-
-            assert_eq!(full.len(), logits.len());
-            for (a, b) in full.iter().zip(&logits) {
-                assert_eq!(a.data(), b.data(), "prefix path must be bit-exact");
-            }
-        }
-    }
-
     /// Prunes ~the given fraction of each weight matrix to exact zero
     /// (smallest magnitudes first) and returns the net plus its sparse
     /// clean weights.
@@ -380,15 +236,18 @@ mod tests {
     }
 
     /// The whole sparse trial path — sparse clean build, sparse dirty-row
-    /// patching of the first faulty site, sparse suffix — must reproduce
-    /// the dense full faulty forward bit for bit.
+    /// patching of the first faulty site, sparse suffix with every later
+    /// faulty site's own patched stream — must reproduce the dense full
+    /// faulty forward bit for bit, for faults in the first, middle, last,
+    /// and multiple layers at once.
     #[test]
     fn sparse_prefix_path_is_bit_exact_with_dense() {
         let (net, sparse) = pruned_net(7, 0.7);
         let xs = batch(3, 5);
         let mut scratch = ForwardScratch::default();
         let overlay: Vec<Option<&SparseMatrix>> = sparse.iter().map(Some).collect();
-        let dense_cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
+        let dense_cache =
+            PrefixCache::build_sparse(&net, &xs, &[], &mut scratch).expect("flat network");
         let cache =
             PrefixCache::build_sparse(&net, &xs, &overlay, &mut scratch).expect("flat network");
         for (a, b) in cache.clean_logits().iter().zip(dense_cache.clean_logits()) {
@@ -397,28 +256,41 @@ mod tests {
 
         let mats = net.weight_matrices();
         let nmats = mats.len();
-        for (first, slots) in [
-            (0usize, vec![3u32, 9]),
-            (1, vec![11, 95]),
-            (nmats - 1, vec![1]),
-        ] {
+        let delta = |slot: u32| WeightDelta {
+            slot,
+            value: 0.75 + slot as f32 * 0.1,
+        };
+        // Faulty slots keyed by weight-matrix index: first conv, middle
+        // conv, last fc, and sites 1, 2 and last together.
+        let cases: Vec<Vec<(usize, Vec<u32>)>> = vec![
+            vec![(0, vec![3, 9])],
+            vec![(1, vec![11, 95])],
+            vec![(nmats - 1, vec![1])],
+            vec![(1, vec![40]), (2, vec![7]), (nmats - 1, vec![0])],
+        ];
+        for case in &cases {
             let mut deltas: Vec<Vec<WeightDelta>> = vec![Vec::new(); nmats];
-            deltas[first] = slots
-                .iter()
-                .map(|&slot| WeightDelta {
-                    slot,
-                    value: 0.75 + slot as f32 * 0.1,
-                })
-                .collect();
+            for (site, slots) in case {
+                deltas[*site] = slots.iter().map(|&slot| delta(slot)).collect();
+            }
             let mut faulty = net.clone();
             let mut undo = Vec::new();
             faulty.apply_weight_deltas(&deltas, &mut undo);
             let full = faulty.forward_batch_scratch(&xs, &mut scratch);
 
-            // Patch only the faulty layer's sparse stream.
-            let patched_sparse = sparse[first].with_deltas(&deltas[first]);
-            let mut trial_overlay = overlay.clone();
-            trial_overlay[first] = Some(&patched_sparse);
+            // Every faulty site gets its own delta-patched stream; clean
+            // sites keep the clean twins.
+            let patched_sparse: Vec<Option<SparseMatrix>> = sparse
+                .iter()
+                .zip(&deltas)
+                .map(|(s, ds)| (!ds.is_empty()).then(|| s.with_deltas(ds)))
+                .collect();
+            let trial_overlay: Vec<Option<&SparseMatrix>> = sparse
+                .iter()
+                .zip(&patched_sparse)
+                .map(|(s, p)| Some(p.as_ref().unwrap_or(s)))
+                .collect();
+            let first = case[0].0;
             let pos = cache.site_layer(first);
             let (_, b) = faulty.layers()[pos].weight_bias().expect("weight layer");
             let mut rows: Vec<usize> = deltas[first]
@@ -428,8 +300,8 @@ mod tests {
             rows.sort_unstable();
             rows.dedup();
             let mut row_buf = Vec::new();
-            let patched =
-                cache.patched_outputs_sparse(first, &patched_sparse, b, &rows, &mut row_buf);
+            let first_sparse = trial_overlay[first].expect("faulty site");
+            let patched = cache.patched_outputs_sparse(first, first_sparse, b, &rows, &mut row_buf);
             let logits =
                 faulty.forward_suffix_sparse(pos + 1, patched, &trial_overlay, &mut scratch);
             assert_eq!(full.len(), logits.len());
@@ -444,7 +316,7 @@ mod tests {
         let net = lenet_mini(9);
         let xs = batch(5, 4);
         let mut scratch = ForwardScratch::default();
-        let cache = PrefixCache::build(&net, &xs, &mut scratch).expect("flat network");
+        let cache = PrefixCache::build_sparse(&net, &xs, &[], &mut scratch).expect("flat network");
         let direct = net.forward_batch(&xs);
         for (a, b) in cache.clean_logits().iter().zip(&direct) {
             assert_eq!(a.data(), b.data());
@@ -462,7 +334,9 @@ mod tests {
             }],
         );
         let xs = vec![Tensor::from_vec(&[3], vec![1.0, -2.0, 3.0])];
-        assert!(PrefixCache::build(&net, &xs, &mut ForwardScratch::default()).is_none());
+        assert!(
+            PrefixCache::build_sparse(&net, &xs, &[], &mut ForwardScratch::default()).is_none()
+        );
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl Campaign {
         eval: &(dyn AccuracyEval + Sync),
     ) -> Result<CampaignResult, EngineError> {
         let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_campaign(self.trials, self.seed, stored, eval)
+        ctx.run_campaign_controlled(self.trials, self.seed, stored, eval, &RunControl::default())
     }
 
     /// Runs a campaign injecting faults *only* into structures of `target`
@@ -304,7 +304,14 @@ impl Campaign {
         eval: &(dyn AccuracyEval + Sync),
     ) -> Result<CampaignResult, EngineError> {
         let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_isolated(self.trials, self.seed, target, stored, eval)
+        ctx.run_isolated_controlled(
+            self.trials,
+            self.seed,
+            target,
+            stored,
+            eval,
+            &RunControl::default(),
+        )
     }
 
     /// [`Campaign::run`] under a [`RunControl`]: per-trial panic
@@ -420,7 +427,7 @@ impl Campaign {
             return Err(EngineError::ChipRateScale(self.rate_scale));
         }
         let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
-        ctx.run_chips(self.trials, self.seed, stored, eval)
+        ctx.run_chips_controlled(self.trials, self.seed, stored, eval, &RunControl::default())
     }
 
     /// The pre-engine implementation: scoped threads spawned per call,

@@ -5,7 +5,7 @@
 
 use crate::analytic::{aggregate_mse, layer_damage};
 use crate::campaign::{Campaign, CampaignResult};
-use crate::engine::{EngineError, EvalContext};
+use crate::engine::{EngineError, EvalContext, RunControl};
 use crate::evaluate::{AccuracyEval, ProxyEval};
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_encoding::cluster::ClusteredLayer;
@@ -142,7 +142,12 @@ pub fn explore_concrete(
     eval: &(dyn AccuracyEval + Sync),
     cfg: &DseConfig,
 ) -> Result<Vec<DsePoint>, EngineError> {
-    EvalContext::new(tech, sa, cfg.campaign.rate_scale)?.run_dse(layers, eval, cfg)
+    EvalContext::new(tech, sa, cfg.campaign.rate_scale)?.run_dse_controlled(
+        layers,
+        eval,
+        cfg,
+        &RunControl::default(),
+    )
 }
 
 /// The pre-engine sweep: schemes explored one at a time, each scheme

@@ -8,9 +8,9 @@
 //! → evaluate loop (embarrassingly parallel). [`EvalContext`] hoists
 //! the first out of the trial loop — one pre-scaled [`FaultMap`] per
 //! bits-per-cell, shared by `Arc` — and schedules the third onto a
-//! process-wide [`WorkerPool`]; [`EvalContext::run_dse`] additionally
-//! shares raw encodes *and clean decodes* across candidate schemes
-//! through an [`EncodeCache`].
+//! process-wide [`WorkerPool`]; [`EvalContext::run_dse_controlled`]
+//! additionally shares raw encodes *and clean decodes* across candidate
+//! schemes through an [`EncodeCache`].
 //!
 //! The trial loop itself is O(expected faults + dirty suffix), not
 //! O(cells × test set): each stored layer is wrapped in a
@@ -18,21 +18,24 @@
 //! with geometric skips, each trial reduced to a sparse
 //! [`WeightDelta`] list against the shared clean decode), and the
 //! evaluators consume those deltas through
-//! [`AccuracyEval::eval_deltas`] on per-worker [`EvalScratch`] state —
+//! [`AccuracyEval::eval_deltas_sparse`] on per-worker [`EvalScratch`]
+//! state, with the clean model as a [`SparseModel`] — the storage
+//! format's compute-side twin — so
 //! [`crate::evaluate::NetworkEval`] patches only the dirty rows of the
 //! first fault-touched layer atop a cached clean-prefix forward pass,
-//! [`crate::evaluate::ProxyEval`] adjusts a cached MSE numerator —
-//! both bit-identical to materializing the faulty matrices. The clean
-//! model additionally travels as a [`SparseModel`] — the storage
-//! format's compute-side twin — so network evaluations run the sparse
-//! GEMM path end to end ([`AccuracyEval::eval_deltas_sparse`]). Chip
-//! campaigns ([`EvalContext::run_chips`]) are O(nnz + faults) too: each
-//! trial samples only the cells a chip instance mis-programs
-//! (`StoredLayer::sample_chip_flips`, RNG-identical to programming the
-//! full chip) and reduces them to the same sparse deltas.
+//! sparse GEMM end to end, and [`crate::evaluate::ProxyEval`] adjusts a
+//! cached MSE numerator — both bit-identical to materializing the faulty
+//! matrices. Chip campaigns ([`EvalContext::run_chips_controlled`]) are
+//! O(nnz + faults) too: each trial samples only the cells a chip
+//! instance mis-programs (`StoredLayer::sample_chip_flips`,
+//! RNG-identical to programming the full chip) and reduces them to the
+//! same sparse deltas. Every run kind — campaign, isolated, chips, DSE —
+//! is one private driver over trial groups that differ only in their
+//! prepared layers, fingerprint, and per-layer delta sampler.
 //!
-//! On top of that sits the **resilience layer** (`*_controlled` entry
-//! points taking a [`RunControl`]):
+//! On top of that sits the **resilience layer** (every `*_controlled`
+//! entry point takes a [`RunControl`]; `RunControl::default()` is the
+//! plain fixed-budget run):
 //!
 //! - every trial runs under `catch_unwind`, so a panicking trial
 //!   becomes a [`TrialOutcome::Failed`] recorded (with its seed) on the
@@ -83,6 +86,7 @@ use maxnvm_encoding::storage::{DecodeStats, EncodeCache, PreparedLayer, StoredLa
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellModel, CellTechnology, FaultMap, MlcConfig, SenseAmp};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -303,6 +307,31 @@ impl RunControl {
         }
     }
 
+    /// Folds what changes a resumed trial's outcome or a run's stopping
+    /// point into a run fingerprint: the early-stop parameters (or
+    /// "fixed-budget") and the panic-injection test hook, so hooked,
+    /// early-stopping and plain runs never resume each other's
+    /// snapshots.
+    fn fold_into(&self, f: &mut Fingerprint) {
+        match &self.early_stop {
+            Some(es) => {
+                f.push_str("early-stop")
+                    .push_f64(es.baseline)
+                    .push_f64(es.itn_bound)
+                    .push_f64(es.z)
+                    .push_u64(es.min_trials as u64)
+                    .push_u64(es.batch as u64);
+            }
+            None => {
+                f.push_str("fixed-budget");
+            }
+        }
+        f.push_u64(self.panic_trials.len() as u64);
+        for &t in &self.panic_trials {
+            f.push_u64(t as u64);
+        }
+    }
+
     /// The disk-layer counters of this control's encode cache (all zero
     /// without one).
     fn cache_stats(&self) -> EncodeCacheStats {
@@ -348,15 +377,18 @@ fn drive_trials(
     // Completed outcomes per group, keyed by trial index so prefix
     // statistics (for the early-stop rule) are well-defined.
     let mut done: Vec<BTreeMap<usize, TrialOutcome>> = vec![BTreeMap::new(); groups];
+    let mut absorb = |snapshot: CampaignCheckpoint| {
+        for (group, trial, outcome) in snapshot.entries {
+            if group < groups && trial < group_trials {
+                done[group].insert(trial, outcome);
+            }
+        }
+    };
     if let Some(cp) = &control.checkpoint {
         if cp.store.exists(&cp.path) {
             let snapshot = cp.load_snapshot()?;
             snapshot.verify(ckpt_fingerprint)?;
-            for (group, trial, outcome) in snapshot.entries {
-                if group < groups && trial < group_trials {
-                    done[group].insert(trial, outcome);
-                }
-            }
+            absorb(snapshot);
         }
     }
     // Preseed with completed shard snapshots: each source is verified
@@ -378,11 +410,7 @@ fn drive_trials(
         let src_shard = ShardSpec::of(snapshot.shard_index, snapshot.shard_count);
         src_shard.validate()?;
         snapshot.verify(src_shard.fold_fingerprint(fingerprint))?;
-        for (group, trial, outcome) in snapshot.entries {
-            if group < groups && trial < group_trials {
-                done[group].insert(trial, outcome);
-            }
-        }
+        absorb(snapshot);
     }
     let batch = match &control.early_stop {
         Some(es) => es.batch.max(1),
@@ -406,6 +434,18 @@ fn drive_trials(
                 message: panic_message(payload),
             },
         }
+    };
+    // One atomic snapshot of every completed outcome so far.
+    let save = |cp: &CheckpointConfig, done: &[BTreeMap<usize, TrialOutcome>]| {
+        let mut snapshot =
+            CampaignCheckpoint::new(ckpt_fingerprint, label, groups, group_trials, seed)
+                .with_shard(shard.index, shard.count);
+        for (g, group) in done.iter().enumerate() {
+            for (t, outcome) in group {
+                snapshot.record(g, *t, outcome.clone());
+            }
+        }
+        cp.save_snapshot(&snapshot)
     };
     // Per-group scheduling state: the next batch boundary and whether
     // the early-stop rule has decided the group.
@@ -485,16 +525,7 @@ fn drive_trials(
         since_flush += ran;
         if let Some(cp) = &control.checkpoint {
             if dirty && (since_flush >= cp.every || cancelled) {
-                save_checkpoint(
-                    cp,
-                    ckpt_fingerprint,
-                    label,
-                    groups,
-                    group_trials,
-                    seed,
-                    shard,
-                    &done,
-                )?;
+                save(cp, &done)?;
                 dirty = false;
                 since_flush = 0;
             }
@@ -519,30 +550,12 @@ fn drive_trials(
     if let Some(cp) = &control.checkpoint {
         if cancelled {
             if dirty {
-                save_checkpoint(
-                    cp,
-                    ckpt_fingerprint,
-                    label,
-                    groups,
-                    group_trials,
-                    seed,
-                    shard,
-                    &done,
-                )?;
+                save(cp, &done)?;
             }
         } else if cp.keep_on_success {
             // Leave a complete snapshot behind: resuming it reproduces
             // the finished result without rerunning anything.
-            save_checkpoint(
-                cp,
-                ckpt_fingerprint,
-                label,
-                groups,
-                group_trials,
-                seed,
-                shard,
-                &done,
-            )?;
+            save(cp, &done)?;
         } else {
             // A finished campaign must not be accidentally "resumed".
             let _ = cp.store.remove(&cp.path);
@@ -555,27 +568,6 @@ fn drive_trials(
             cancelled,
         })
         .collect())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    cp: &CheckpointConfig,
-    fingerprint: u64,
-    label: &str,
-    groups: usize,
-    trials: usize,
-    seed: u64,
-    shard: ShardSpec,
-    done: &[BTreeMap<usize, TrialOutcome>],
-) -> Result<(), EngineError> {
-    let mut snapshot = CampaignCheckpoint::new(fingerprint, label, groups, trials, seed)
-        .with_shard(shard.index, shard.count);
-    for (g, group) in done.iter().enumerate() {
-        for (t, outcome) in group {
-            snapshot.record(g, *t, outcome.clone());
-        }
-    }
-    cp.save_snapshot(&snapshot)
 }
 
 /// Shared evaluation state for one (technology, sense-amp, rate-scale)
@@ -678,80 +670,16 @@ impl EvalContext {
         move |cfg: MlcConfig| Arc::clone(&self.fault_maps[(cfg.bits() - 1) as usize])
     }
 
-    /// Configuration fingerprint for a run on this context: covers the
-    /// run kind, technology, rate scale, trial budget, base seed,
-    /// injection target, every stored layer's scheme and cell count,
-    /// the evaluator's baseline error, and — because they change what a
-    /// resumed trial would produce or when a run stops — the early-stop
-    /// parameters and the panic-injection test hook. The trial-semantics
-    /// version is folded in by [`Fingerprint::new`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_fingerprint(
-        &self,
-        kind: &str,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        target: Option<StructureKind>,
-        baseline: f64,
-        control: &RunControl,
-    ) -> u64 {
-        let mut f = Fingerprint::new();
-        f.push_str(kind)
-            .push_str(self.tech.name())
-            .push_f64(self.rate_scale)
-            .push_u64(trials as u64)
-            .push_u64(seed)
-            .push_str(target.map_or("all", |k| k.name()))
-            .push_f64(baseline)
-            .push_u64(stored.len() as u64);
-        for layer in stored {
-            f.push_str(&layer.scheme.label());
-            f.push_u64(layer.total_cells());
-        }
-        match &control.early_stop {
-            Some(es) => {
-                f.push_str("early-stop")
-                    .push_f64(es.baseline)
-                    .push_f64(es.itn_bound)
-                    .push_f64(es.z)
-                    .push_u64(es.min_trials as u64)
-                    .push_u64(es.batch as u64);
-            }
-            None => {
-                f.push_str("fixed-budget");
-            }
-        }
-        f.push_u64(control.panic_trials.len() as u64);
-        for &t in &control.panic_trials {
-            f.push_u64(t as u64);
-        }
-        f.finish()
-    }
-
     /// Runs a full-injection campaign: `trials` seeded trials, each
     /// injecting every structure of every layer, in parallel on the
     /// pool. Trial `t` seeds `seed.wrapping_add(t)`; results are in
     /// trial order, identical at any worker count.
     ///
-    /// # Errors
-    ///
-    /// Never fails under the default [`RunControl`] today; the `Result`
-    /// keeps the signature aligned with the controlled variants so the
-    /// engine surface stays panic-free (lint rule D2).
-    pub fn run_campaign(
-        &self,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, None, &RunControl::default())
-    }
-
-    /// [`Self::run_campaign`] under a [`RunControl`]: per-trial panic
-    /// isolation, cooperative cancellation, checkpoint/resume, and
-    /// optional early stopping.
+    /// The [`RunControl`] adds per-trial panic isolation, cooperative
+    /// cancellation, checkpoint/resume, and optional early stopping;
+    /// `RunControl::default()` is the plain fixed-budget run, which
+    /// never fails today — the `Result` keeps the engine surface
+    /// panic-free (lint rule D2).
     pub fn run_campaign_controlled(
         &self,
         trials: usize,
@@ -760,35 +688,12 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, None, control)
+        self.run_trials(trials, seed, stored, eval, Injection::Full, control)
     }
 
     /// Runs a campaign injecting faults only into structures of
-    /// `target` kind — Fig. 5's isolation methodology.
-    ///
-    /// # Errors
-    ///
-    /// Never fails under the default [`RunControl`] today; see
-    /// [`Self::run_campaign`].
-    pub fn run_isolated(
-        &self,
-        trials: usize,
-        seed: u64,
-        target: StructureKind,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(
-            trials,
-            seed,
-            stored,
-            eval,
-            Some(target),
-            &RunControl::default(),
-        )
-    }
-
-    /// [`Self::run_isolated`] under a [`RunControl`].
+    /// `target` kind — Fig. 5's isolation methodology — under a
+    /// [`RunControl`] (see [`Self::run_campaign_controlled`]).
     pub fn run_isolated_controlled(
         &self,
         trials: usize,
@@ -798,127 +703,28 @@ impl EvalContext {
         eval: &(dyn AccuracyEval + Sync),
         control: &RunControl,
     ) -> Result<CampaignResult, EngineError> {
-        self.run_trials(trials, seed, stored, eval, Some(target), control)
-    }
-
-    fn run_trials(
-        &self,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-        target: Option<StructureKind>,
-        control: &RunControl,
-    ) -> Result<CampaignResult, EngineError> {
-        let fault_for = self.fault_for();
-        // Clean decodes and level partitions are trial-invariant: prepare
-        // them once so every trial costs O(expected faults), not O(cells).
-        // A control-supplied encode cache shares the clean decodes across
-        // runs (and, disk-backed, across shard processes).
-        let prepared: Vec<PreparedLayer> = match &control.encode_cache {
-            Some(cache) => self.pool.scope_map(stored.len(), |i| {
-                PreparedLayer::new(&stored[i], cache.clean_decode(i, &stored[i]))
-            }),
-            None => self
-                .pool
-                .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i])),
-        };
-        let expected: f64 = prepared
-            .iter()
-            .map(|p| p.expected_faults(target, &fault_for))
-            .sum();
-        // Trials never materialize faulty matrices: each samples sparse
-        // deltas against these shared clean decodes and evaluates them
-        // through the evaluator's O(deltas) path, with the clean model
-        // also in the compute-side sparse format.
-        let clean: Vec<LayerMatrix> = prepared.iter().map(|p| p.clean().matrix.clone()).collect();
-        let sparse: Vec<Arc<SparseMatrix>> = prepared
-            .iter()
-            .map(|p| Arc::new(p.clean().sparse.clone()))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
-        };
-        let scratch = ScratchPool::new(&self.pool);
-        let kind = match target {
-            Some(_) => "isolated",
-            None => "campaign",
-        };
-        let fingerprint = self.run_fingerprint(
-            kind,
+        self.run_trials(
             trials,
             seed,
             stored,
-            target,
-            eval.baseline_error(),
+            eval,
+            Injection::Isolated(target),
             control,
-        );
-        let label = stored
-            .first()
-            .map(|l| l.scheme.label())
-            .unwrap_or_else(|| "empty".to_string());
-        let mut driven = drive_trials(
-            &self.pool,
-            1,
-            trials,
-            seed,
-            control,
-            fingerprint,
-            &label,
-            |_, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared
-                    .iter()
-                    .map(|layer| {
-                        let (d, s) = match target {
-                            Some(kind) => {
-                                layer.deltas_with_isolated_faults(kind, &fault_for, &mut rng)
-                            }
-                            None => layer.deltas_with_faults(&fault_for, &mut rng),
-                        };
-                        stats.absorb(s);
-                        d
-                    })
-                    .collect();
-                (scratch.eval_deltas_sparse(eval, 0, &model, &deltas), stats)
-            },
-        )?;
-        let group = driven.pop().ok_or_else(|| EngineError::Internal {
-            detail: "drive_trials returned no trial group".into(),
-        })?;
-        Ok(CampaignResult::from_outcomes(trials, group.outcomes)
-            .with_termination(group.stopped_early, group.cancelled)
-            .with_expected_faults(expected)
-            .with_density(model.layer_nnz(), model.density())
-            .with_encode_cache(control.cache_stats()))
+        )
     }
 
-    /// Runs a campaign with the paper's exact chip semantics: each
-    /// trial programs a chip instance (every cell's analog outcome
-    /// drawn once, §4.1) and decodes it deterministically. Errors with
-    /// [`EngineError::ChipRateScale`] unless the context uses physical
-    /// rates (`rate_scale == 1.0`), since analog programming outcomes
-    /// cannot be rate-scaled.
+    /// Runs a campaign with the paper's exact chip semantics under a
+    /// [`RunControl`]: each trial programs a chip instance (every cell's
+    /// analog outcome drawn once, §4.1) and decodes it
+    /// deterministically. Errors with [`EngineError::ChipRateScale`]
+    /// unless the context uses physical rates (`rate_scale == 1.0`),
+    /// since analog programming outcomes cannot be rate-scaled.
     ///
     /// Trials never materialize the chip: only the mis-programmed cells
     /// are recorded (`StoredLayer::sample_chip_flips`, drawing the RNG
     /// exactly as programming the full chip would), reduced to sparse
     /// [`WeightDelta`]s, and evaluated through the sparse path — bit-
     /// identical to programming, decoding, and evaluating every cell.
-    pub fn run_chips(
-        &self,
-        trials: usize,
-        seed: u64,
-        stored: &[StoredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> Result<CampaignResult, EngineError> {
-        self.run_chips_controlled(trials, seed, stored, eval, &RunControl::default())
-    }
-
-    /// [`Self::run_chips`] under a [`RunControl`].
-    // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
     pub fn run_chips_controlled(
         &self,
         trials: usize,
@@ -930,78 +736,116 @@ impl EvalContext {
         if (self.rate_scale - 1.0).abs() > 1e-12 {
             return Err(EngineError::ChipRateScale(self.rate_scale));
         }
-        let cell_for = |cfg: MlcConfig| self.cell_models[(cfg.bits() - 1) as usize].clone();
+        self.run_trials(trials, seed, stored, eval, Injection::Chip, control)
+    }
+
+    /// The body of every single-group run: prepares the stored layers,
+    /// fingerprints the run, and drives it through [`Self::run_groups`]
+    /// with the injection's per-layer delta sampler.
+    // maxnvm-lint: allow(R1/index-arith): cell_models is built over MlcConfig::ALL in bits order, so (bits()-1) indexes the matching slot and bits() >= 1 by construction.
+    fn run_trials(
+        &self,
+        trials: usize,
+        seed: u64,
+        stored: &[StoredLayer],
+        eval: &(dyn AccuracyEval + Sync),
+        injection: Injection,
+        control: &RunControl,
+    ) -> Result<CampaignResult, EngineError> {
         let fault_for = self.fault_for();
-        let expected: f64 = stored
-            .iter()
-            .map(|l| l.expected_faults_in(None, &fault_for))
-            .sum();
-        let prepared: Vec<PreparedLayer> = self
-            .pool
-            .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i]));
-        let clean: Vec<LayerMatrix> = prepared.iter().map(|p| p.clean().matrix.clone()).collect();
-        let sparse: Vec<Arc<SparseMatrix>> = prepared
-            .iter()
-            .map(|p| Arc::new(p.clean().sparse.clone()))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
+        let cell_for = |cfg: MlcConfig| self.cell_models[(cfg.bits() - 1) as usize].clone();
+        // Clean decodes and level partitions are trial-invariant: prepare
+        // them once so every trial costs O(expected faults), not O(cells).
+        // A control-supplied encode cache shares the clean decodes across
+        // runs (and, disk-backed, across shard processes); chip runs
+        // always decode afresh.
+        let prepared: Vec<PreparedLayer> = match (&control.encode_cache, injection) {
+            (Some(cache), Injection::Full | Injection::Isolated(_)) => {
+                self.pool.scope_map(stored.len(), |i| {
+                    PreparedLayer::new(&stored[i], cache.clean_decode(i, &stored[i]))
+                })
+            }
+            _ => self
+                .pool
+                .scope_map(stored.len(), |i| PreparedLayer::prepare(&stored[i])),
         };
-        let scratch = ScratchPool::new(&self.pool);
-        let fingerprint = self.run_fingerprint(
-            "chips",
-            trials,
-            seed,
-            stored,
-            None,
-            eval.baseline_error(),
-            control,
-        );
+        let (kind, target) = match injection {
+            Injection::Full => ("campaign", None),
+            Injection::Isolated(k) => ("isolated", Some(k)),
+            Injection::Chip => ("chips", None),
+        };
+        // Chip runs sum the stored layers' per-cell probabilities; the
+        // others use the prepared level histograms. The two summation
+        // orders are not bitwise interchangeable, so each keeps its own.
+        let expected: f64 = match injection {
+            Injection::Chip => stored
+                .iter()
+                .map(|l| l.expected_faults_in(None, &fault_for))
+                .sum(),
+            _ => prepared
+                .iter()
+                .map(|p| p.expected_faults(target, &fault_for))
+                .sum(),
+        };
+        // Fingerprint everything that determines the trials' outcomes or
+        // the stopping point: run kind, technology, rate scale, trial
+        // budget, base seed, injection target, baseline error, every
+        // stored layer's scheme and cell count, and the control's
+        // early-stop rule and panic hook. [`Fingerprint::new`] folds in
+        // the trial-semantics version.
+        let fingerprint = {
+            let mut f = Fingerprint::new();
+            f.push_str(kind)
+                .push_str(self.tech.name())
+                .push_f64(self.rate_scale)
+                .push_u64(trials as u64)
+                .push_u64(seed)
+                .push_str(target.map_or("all", |k| k.name()))
+                .push_f64(eval.baseline_error())
+                .push_u64(stored.len() as u64);
+            for layer in stored {
+                f.push_str(&layer.scheme.label());
+                f.push_u64(layer.total_cells());
+            }
+            control.fold_into(&mut f);
+            f.finish()
+        };
         let label = stored
             .first()
             .map(|l| l.scheme.label())
             .unwrap_or_else(|| "empty".to_string());
-        let mut driven = drive_trials(
-            &self.pool,
-            1,
+        let mut results = self.run_groups(
+            &[prepared],
+            &[expected],
             trials,
             seed,
+            eval,
             control,
             fingerprint,
             &label,
-            |_, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared
-                    .iter()
-                    .map(|layer| {
-                        let flips = layer.stored().sample_chip_flips(&cell_for, &mut rng);
-                        let (d, s) = layer.deltas_flips(&flips);
-                        stats.absorb(s);
-                        d
-                    })
-                    .collect();
-                (scratch.eval_deltas_sparse(eval, 0, &model, &deltas), stats)
+            |layer, rng| match injection {
+                Injection::Full => layer.deltas_with_faults(&fault_for, rng),
+                Injection::Isolated(kind) => {
+                    layer.deltas_with_isolated_faults(kind, &fault_for, rng)
+                }
+                Injection::Chip => {
+                    layer.deltas_flips(&layer.stored().sample_chip_flips(&cell_for, rng))
+                }
             },
         )?;
-        let group = driven.pop().ok_or_else(|| EngineError::Internal {
-            detail: "drive_trials returned no trial group".into(),
+        let result = results.pop().ok_or_else(|| EngineError::Internal {
+            detail: "run_groups returned no trial group".into(),
         })?;
-        Ok(CampaignResult::from_outcomes(trials, group.outcomes)
-            .with_termination(group.stopped_early, group.cancelled)
-            .with_expected_faults(expected)
-            .with_density(model.layer_nnz(), model.density())
-            .with_encode_cache(control.cache_stats()))
+        Ok(result.with_encode_cache(control.cache_stats()))
     }
 
-    /// Concrete design-space exploration on the engine: every candidate
-    /// scheme of the context's technology is stored (raw encodes and
-    /// clean decodes shared through an [`EncodeCache`]) and evaluated
-    /// with a Monte-Carlo campaign over [`PreparedLayer`]s. The work is
-    /// flattened to (scheme, trial) granularity so the pool
-    /// load-balances across the whole sweep rather than one scheme at a
-    /// time.
+    /// Concrete design-space exploration on the engine under a
+    /// [`RunControl`]: every candidate scheme of the context's
+    /// technology is stored (raw encodes and clean decodes shared
+    /// through an [`EncodeCache`]) and evaluated with a Monte-Carlo
+    /// campaign over [`PreparedLayer`]s. The work is flattened to
+    /// (scheme, trial) granularity so the pool load-balances across the
+    /// whole sweep rather than one scheme at a time.
     ///
     /// Seeding is per-(scheme, trial) — trial `t` of every scheme uses
     /// `seed.wrapping_add(t)` — so the returned points are identical at
@@ -1011,24 +855,16 @@ impl EvalContext {
     /// fault sampling draws a different RNG stream with the same
     /// per-cell marginals.
     ///
+    /// The control adds per-trial panic isolation, cooperative
+    /// cancellation, whole-sweep checkpoint/resume (one checkpoint group
+    /// per candidate scheme), and optional per-scheme adaptive early
+    /// stopping — each scheme's campaign halts as soon as its Wilson
+    /// interval decides the ITN acceptance test, so decisively-passing
+    /// and decisively-failing schemes stop paying trials the moment the
+    /// data suffices.
+    ///
     /// Errors with [`EngineError::RateScaleMismatch`] if
     /// `cfg.campaign.rate_scale` differs from this context's.
-    pub fn run_dse(
-        &self,
-        layers: &[ClusteredLayer],
-        eval: &(dyn AccuracyEval + Sync),
-        cfg: &DseConfig,
-    ) -> Result<Vec<DsePoint>, EngineError> {
-        self.run_dse_controlled(layers, eval, cfg, &RunControl::default())
-    }
-
-    /// [`Self::run_dse`] under a [`RunControl`]: per-trial panic
-    /// isolation, cooperative cancellation, whole-sweep
-    /// checkpoint/resume (one checkpoint group per candidate scheme),
-    /// and optional per-scheme adaptive early stopping — each scheme's
-    /// campaign halts as soon as its Wilson interval decides the ITN
-    /// acceptance test, so decisively-passing and decisively-failing
-    /// schemes stop paying trials the moment the data suffices.
     pub fn run_dse_controlled(
         &self,
         layers: &[ClusteredLayer],
@@ -1082,19 +918,9 @@ impl EvalContext {
         // counters once so every point of the sweep reports the same
         // observation.
         let cache_stats = cache.stats();
-        // Per-scheme clean matrices for the sparse-delta trial path,
-        // plus their compute-side sparse twins.
-        let clean: Vec<Vec<LayerMatrix>> = prepared
+        let expected: Vec<f64> = prepared
             .iter()
-            .map(|ps| ps.iter().map(|p| p.clean().matrix.clone()).collect())
-            .collect();
-        let sparse: Vec<Vec<Arc<SparseMatrix>>> = prepared
-            .iter()
-            .map(|ps| {
-                ps.iter()
-                    .map(|p| Arc::new(p.clean().sparse.clone()))
-                    .collect()
-            })
+            .map(|ps| ps.iter().map(|p| p.expected_faults(None, &fault_for)).sum())
             .collect();
         // Fingerprint the whole sweep: every scheme's identity and cell
         // count participates, so adding/removing candidates invalidates
@@ -1113,84 +939,124 @@ impl EvalContext {
                 f.push_str(&scheme.label());
                 f.push_u64(stored[s].1);
             }
-            match &control.early_stop {
-                Some(es) => {
-                    f.push_str("early-stop")
-                        .push_f64(es.baseline)
-                        .push_f64(es.itn_bound)
-                        .push_f64(es.z)
-                        .push_u64(es.min_trials as u64)
-                        .push_u64(es.batch as u64);
-                }
-                None => {
-                    f.push_str("fixed-budget");
-                }
-            }
-            f.push_u64(control.panic_trials.len() as u64);
-            for &t in &control.panic_trials {
-                f.push_u64(t as u64);
-            }
+            control.fold_into(&mut f);
             f.finish()
         };
+        let results = self.run_groups(
+            &prepared,
+            &expected,
+            trials,
+            seed,
+            eval,
+            control,
+            fingerprint,
+            "dse-sweep",
+            |layer, rng| layer.deltas_with_faults(&fault_for, rng),
+        )?;
+        Ok(schemes
+            .into_iter()
+            .zip(results)
+            .zip(&stored)
+            .map(|((scheme, result), (_, cells))| DsePoint {
+                scheme,
+                cells: *cells,
+                mean_error: result.mean_error,
+                passes: result.within_itn(baseline, cfg.itn_bound),
+                trials_run: result.completed_trials,
+                layer_nnz: result.layer_nnz,
+                density: result.density,
+                encode_cache: cache_stats,
+            })
+            .collect())
+    }
+
+    /// The one trial loop behind every run: `groups[g]` are the prepared
+    /// layers of trial group `g` (a campaign has one group, a DSE one
+    /// per candidate scheme) and `expected[g]` its expected fault count
+    /// per trial. Each group's clean model is built once as a
+    /// [`SparseModel`]; trial `t` of group `g` seeds
+    /// `seed.wrapping_add(t)`, draws each layer's sparse deltas with
+    /// `sample` in layer order, and evaluates them on a pooled scratch
+    /// keyed by `g` — trials never materialize faulty matrices. Returns
+    /// one [`CampaignResult`] per group, carrying how it ended, its
+    /// expected faults, and its clean density.
+    #[allow(clippy::too_many_arguments)]
+    fn run_groups(
+        &self,
+        groups: &[Vec<PreparedLayer>],
+        expected: &[f64],
+        trials: usize,
+        seed: u64,
+        eval: &(dyn AccuracyEval + Sync),
+        control: &RunControl,
+        fingerprint: u64,
+        label: &str,
+        sample: impl Fn(&PreparedLayer, &mut StdRng) -> (Vec<WeightDelta>, DecodeStats) + Sync,
+    ) -> Result<Vec<CampaignResult>, EngineError> {
+        let clean: Vec<Vec<LayerMatrix>> = groups
+            .iter()
+            .map(|ps| ps.iter().map(|p| p.clean().matrix.clone()).collect())
+            .collect();
+        let sparse: Vec<Vec<Arc<SparseMatrix>>> = groups
+            .iter()
+            .map(|ps| {
+                ps.iter()
+                    .map(|p| Arc::new(p.clean().sparse.clone()))
+                    .collect()
+            })
+            .collect();
+        let models: Vec<SparseModel> = clean
+            .iter()
+            .zip(&sparse)
+            .map(|(dense, sparse)| SparseModel { dense, sparse })
+            .collect();
         let scratch = ScratchPool::new(&self.pool);
         let driven = drive_trials(
             &self.pool,
-            schemes.len(),
+            groups.len(),
             trials,
             seed,
             control,
             fingerprint,
-            "dse-sweep",
-            |s, trial| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
+            label,
+            |g, trial| {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
                 let mut stats = DecodeStats::default();
-                let deltas: Vec<Vec<WeightDelta>> = prepared[s]
+                let deltas: Vec<Vec<WeightDelta>> = groups[g]
                     .iter()
                     .map(|layer| {
-                        let (d, st) = layer.deltas_with_faults(&fault_for, &mut rng);
-                        stats.absorb(st);
+                        let (d, s) = sample(layer, &mut rng);
+                        stats.absorb(s);
                         d
                     })
                     .collect();
-                let model = SparseModel {
-                    dense: &clean[s],
-                    sparse: &sparse[s],
-                };
                 (
-                    scratch.eval_deltas_sparse(eval, s as u64, &model, &deltas),
+                    scratch.eval_deltas_sparse(eval, g as u64, &models[g], &deltas),
                     stats,
                 )
             },
         )?;
-        Ok(schemes
+        Ok(driven
             .into_iter()
-            .zip(driven)
-            .enumerate()
-            .map(|(s, (scheme, group))| {
-                let expected: f64 = prepared[s]
-                    .iter()
-                    .map(|p| p.expected_faults(None, &fault_for))
-                    .sum();
-                let result = CampaignResult::from_outcomes(trials, group.outcomes)
+            .zip(&models)
+            .zip(expected)
+            .map(|((group, model), &expected)| {
+                CampaignResult::from_outcomes(trials, group.outcomes)
                     .with_termination(group.stopped_early, group.cancelled)
-                    .with_expected_faults(expected);
-                let model = SparseModel {
-                    dense: &clean[s],
-                    sparse: &sparse[s],
-                };
-                DsePoint {
-                    scheme,
-                    cells: stored[s].1,
-                    mean_error: result.mean_error,
-                    passes: result.within_itn(baseline, cfg.itn_bound),
-                    trials_run: result.completed_trials,
-                    layer_nnz: model.layer_nnz(),
-                    density: model.density(),
-                    encode_cache: cache_stats,
-                }
+                    .with_expected_faults(expected)
+                    .with_density(model.layer_nnz(), model.density())
             })
             .collect())
     }
+}
+
+/// What a single-group run injects: every structure, one structure
+/// kind (Fig. 5's isolation), or whole programmed chip instances.
+#[derive(Debug, Clone, Copy)]
+enum Injection {
+    Full,
+    Isolated(StructureKind),
+    Chip,
 }
 
 #[cfg(test)]
@@ -1289,7 +1155,7 @@ mod tests {
         let run = |workers| {
             EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
                 .unwrap()
-                .run_campaign(trials, seed, &stored, &eval)
+                .run_campaign_controlled(trials, seed, &stored, &eval, &RunControl::default())
                 .unwrap()
         };
         let w1 = run(1);
@@ -1301,12 +1167,12 @@ mod tests {
         let mut multi_layer_trials = 0usize;
         let ref_errors: Vec<f64> = (0..trials)
             .map(|t| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
                 let mats: Vec<LayerMatrix> = prepared
                     .iter()
                     .map(|p| p.decode_with_faults(&fault_for, &mut rng).0)
                     .collect();
-                let mut replay = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+                let mut replay = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
                 let faulted = prepared
                     .iter()
                     .filter(|p| !p.deltas_with_faults(&fault_for, &mut replay).0.is_empty())

@@ -8,27 +8,28 @@
 //! takes the *clean* matrices plus a per-layer sparse list of
 //! [`WeightDelta`]s, which is what the sparse fault sampler produces
 //! (chip instances reduce to the same deltas via
-//! `StoredLayer::sample_chip_flips`); the fast implementations here
-//! never materialize the faulty matrices. On top of that,
+//! `StoredLayer::sample_chip_flips`). On top of that,
 //! [`AccuracyEval::eval_deltas_sparse`] accepts the clean model as a
 //! [`SparseModel`] — the storage-format [`SparseMatrix`] twins next to
-//! the dense view — so the whole clean forward pass and every per-trial
-//! patch run O(nnz) instead of O(size):
+//! the dense view — which is the entry point the engine calls for every
+//! trial:
 //!
-//! - [`NetworkEval`] keeps a [`PrefixCache`] of the clean batch forward
-//!   pass (keyed per configuration) and per trial only patches the dirty
-//!   rows of the first fault-touched layer and re-runs the suffix —
-//!   bit-identical to materializing the faults and running
-//!   [`Network::error_rate`] (see [`maxnvm_dnn::prefix`]).
-//! - [`ProxyEval`] caches the clean relative-MSE denominator and adjusts
-//!   the numerator per delta in O(deltas) — bit-identical to the full
-//!   scan whenever the clean decode equals the proxy reference bitwise
-//!   (the only configuration the shortcut is enabled for).
+//! - [`NetworkEval`] overrides `eval_deltas_sparse`: it keeps a
+//!   [`PrefixCache`] of the clean batch forward pass (keyed per
+//!   configuration, built from the sparse streams) and per trial only
+//!   patches the dirty rows of the first fault-touched layer and re-runs
+//!   the suffix, all O(nnz) — bit-identical to materializing the faults
+//!   and running [`Network::error_rate`] (see [`maxnvm_dnn::prefix`]).
+//! - [`ProxyEval`] overrides `eval_deltas`: it caches the clean
+//!   relative-MSE denominator and adjusts the numerator per delta in
+//!   O(deltas) — bit-identical to the full scan whenever the clean decode
+//!   equals the proxy reference bitwise (the only configuration the
+//!   shortcut is enabled for).
 //!
-//! Both fall back to the materializing default (clean copy + delta
-//! overwrite + [`AccuracyEval::eval_scratch`]) when their preconditions
-//! fail (residual networks; a lossy clean decode), so `eval_deltas` is
-//! total for every evaluator.
+//! Everything else — `NetworkEval::eval_deltas`, residual networks, a
+//! lossy clean decode — takes the materializing default (clean copy +
+//! delta overwrite + [`AccuracyEval::eval_scratch`]), so both delta entry
+//! points are total for every evaluator.
 
 use maxnvm_dnn::layer::ForwardScratch;
 use maxnvm_dnn::network::{argmax, LayerMatrix, Network, WeightDelta};
@@ -94,7 +95,7 @@ struct PrefixState {
 
 /// Reusable per-worker evaluation state: the network clone a
 /// [`NetworkEval`] writes decoded weights into, the keyed clean-prefix /
-/// clean-MSE caches behind [`AccuracyEval::eval_deltas`], and assorted
+/// clean-MSE caches behind the delta entry points, and assorted
 /// staging buffers — so a Monte-Carlo campaign pays each allocation once
 /// per worker instead of once per trial.
 ///
@@ -157,8 +158,8 @@ pub trait AccuracyEval {
     /// scratch, overwrites the delta slots, delegates to
     /// [`AccuracyEval::eval_scratch`], and reverts — so overriding
     /// `eval`/`eval_scratch` alone keeps `eval_deltas` consistent.
-    /// [`NetworkEval`] and [`ProxyEval`] override it with O(deltas)
-    /// paths that are bit-identical to this default.
+    /// [`ProxyEval`] overrides it with an O(deltas) path that is
+    /// bit-identical to this default.
     fn eval_deltas(
         &self,
         key: u64,
@@ -169,12 +170,12 @@ pub trait AccuracyEval {
         eval_deltas_materialized(self, key, clean, deltas, scratch)
     }
     /// [`AccuracyEval::eval_deltas`] with the clean model available in
-    /// the compute-side sparse format too. The default ignores the
-    /// sparse view and delegates to `eval_deltas` (exact by contract,
-    /// since both views decode the same weights); [`NetworkEval`]
-    /// overrides it to build its clean prefix and per-trial patches from
-    /// the sparse stream, making trials O(nnz) — still bit-identical to
-    /// the materializing path.
+    /// the compute-side sparse format too — the engine's trial entry
+    /// point. The default ignores the sparse view and delegates to
+    /// `eval_deltas` (exact by contract, since both views decode the same
+    /// weights); [`NetworkEval`] overrides it with its clean-prefix path,
+    /// built and patched from the sparse stream, making trials O(nnz) —
+    /// still bit-identical to the materializing path.
     fn eval_deltas_sparse(
         &self,
         key: u64,
@@ -187,7 +188,7 @@ pub trait AccuracyEval {
 }
 
 /// The materializing [`AccuracyEval::eval_deltas`] path, shared by the
-/// trait default and the fast evaluators' fallback arms: copy the clean
+/// trait default and [`ProxyEval`]'s fallback arm: copy the clean
 /// matrices once per key, overwrite the delta slots, evaluate, restore.
 fn eval_deltas_materialized<E: AccuracyEval + ?Sized>(
     eval: &E,
@@ -265,88 +266,6 @@ impl AccuracyEval for NetworkEval {
         net.error_rate(&self.test)
     }
 
-    /// Clean-prefix fast path: the clean batch forward pass is cached
-    /// once per key; a trial recomputes only the dirty rows of the first
-    /// fault-touched layer and the layer suffix behind it — bit-identical
-    /// to materializing the faults (see [`maxnvm_dnn::prefix`]). Residual
-    /// networks fall back to the materializing default.
-    fn eval_deltas(
-        &self,
-        key: u64,
-        clean: &[LayerMatrix],
-        deltas: &[Vec<WeightDelta>],
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        if self.test.is_empty() {
-            return 0.0; // matches `Network::error_rate` on an empty set
-        }
-        if !matches!(&scratch.prefix, Some((k, _)) if *k == key) {
-            let mut net = self.net.clone();
-            net.set_weight_matrices(clean);
-            let xs: Vec<Tensor> = self.test.iter().map(|(x, _)| x.clone()).collect();
-            let state = PrefixCache::build(&net, &xs, &mut scratch.forward).map(|cache| {
-                let clean_error = error_over(cache.clean_logits(), &self.test);
-                // Same-key sparse calls may reuse this state, so give it
-                // the sparse twins (equal to any caller-provided ones by
-                // the `eval_deltas_sparse` contract).
-                let sparse = clean
-                    .iter()
-                    .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-                    .collect();
-                PrefixState {
-                    net,
-                    cache,
-                    clean_error,
-                    sparse,
-                }
-            });
-            scratch.prefix = Some((key, state));
-        }
-        // Destructure so the prefix state and the staging buffers can be
-        // borrowed simultaneously; anything else materializes.
-        match scratch {
-            EvalScratch {
-                prefix: Some((k, Some(state))),
-                forward,
-                row_buf,
-                dirty_rows,
-                undo,
-                ..
-            } if *k == key => {
-                let Some(first) = deltas.iter().position(|d| !d.is_empty()) else {
-                    return state.clean_error;
-                };
-                dirty_rows.clear();
-                dirty_rows.extend(
-                    deltas[first]
-                        .iter()
-                        .map(|d| d.slot as usize / clean[first].cols),
-                );
-                dirty_rows.sort_unstable();
-                dirty_rows.dedup();
-                state.net.apply_weight_deltas(deltas, undo);
-                let pos = state.cache.site_layer(first);
-                let logits = match state.net.layers()[pos].weight_bias() {
-                    Some((w, b)) => {
-                        let patched = state
-                            .cache
-                            .patched_outputs(first, w, b, dirty_rows, row_buf);
-                        state.net.forward_suffix(pos + 1, patched, forward)
-                    }
-                    // Sites address weight layers by construction; stay
-                    // total with a (still exact) full faulty forward.
-                    None => state
-                        .net
-                        .forward_batch_scratch(state.cache.input_batch(), forward),
-                };
-                let error = error_over(&logits, &self.test);
-                state.net.revert_weight_deltas(undo);
-                error
-            }
-            _ => eval_deltas_materialized(self, key, clean, deltas, scratch),
-        }
-    }
-
     /// Fully sparse trial path: the clean prefix is built straight from
     /// the sparse weight streams ([`PrefixCache::build_sparse`]), dirty
     /// rows are recomputed from the delta-patched sparse matrix
@@ -355,7 +274,7 @@ impl AccuracyEval for NetworkEval {
     /// through [`Network::forward_suffix_sparse`] — O(nnz) end to end
     /// and bit-identical to the materializing path (see
     /// [`maxnvm_dnn::sparse`] for the exactness argument). Residual
-    /// networks fall back to the dense `eval_deltas`.
+    /// networks fall back to the materializing `eval_deltas`.
     fn eval_deltas_sparse(
         &self,
         key: u64,
@@ -760,39 +679,56 @@ mod tests {
         ]
     }
 
-    /// The clean-prefix fast path must be bit-identical to materializing
-    /// the faults, across fault positions, reused scratch state, and key
-    /// switches.
+    /// The clean weights in the compute-side sparse format as well — the
+    /// twins a [`SparseModel`] carries next to the dense view.
+    fn sparse_twins(clean: &[LayerMatrix]) -> Vec<Arc<SparseMatrix>> {
+        clean
+            .iter()
+            .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
+            .collect()
+    }
+
+    /// The clean-prefix trial path must be bit-identical to materializing
+    /// the faults across fault positions and reused scratch state, with
+    /// the key switching A→B→A between consecutive trials on one scratch
+    /// — the DSE's pooled-scratch pattern, where a worker's scratch
+    /// serves trials of different schemes in any order.
     #[test]
-    fn network_eval_deltas_is_bit_exact_with_materialized() {
+    fn network_eval_deltas_sparse_is_bit_exact_with_materialized() {
         let eval = trained_eval();
         let clean = eval.network().weight_matrices();
-        let mut scratch = EvalScratch::default();
-        for deltas in &delta_cases() {
-            assert_eq!(
-                eval.eval_deltas(7, &clean, deltas, &mut scratch),
-                eval.eval(&materialize(&clean, deltas)),
-                "prefix path must match the materialized evaluation"
-            );
-        }
-        // No faults on a reused (previously corrupted) scratch: the exact
-        // clean baseline, no residue.
-        assert_eq!(
-            eval.eval_deltas(7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
-            eval.baseline_error()
-        );
-        // A key switch rebuilds the cache for the new clean matrices and
-        // back again.
         let mut other = clean.clone();
         for v in &mut other[0].data {
             *v = -*v;
         }
+        let (clean_sparse, other_sparse) = (sparse_twins(&clean), sparse_twins(&other));
+        let a = SparseModel {
+            dense: &clean,
+            sparse: &clean_sparse,
+        };
+        let b = SparseModel {
+            dense: &other,
+            sparse: &other_sparse,
+        };
+        let mut scratch = EvalScratch::default();
+        for deltas in &delta_cases() {
+            for (key, model) in [(7, &a), (8, &b), (7, &a)] {
+                assert_eq!(
+                    eval.eval_deltas_sparse(key, model, deltas, &mut scratch),
+                    eval.eval(&materialize(model.dense, deltas)),
+                    "key {key}: prefix path must match the materialized evaluation"
+                );
+            }
+        }
+        // No faults on a reused (previously corrupted, key-switched)
+        // scratch: the exact clean error of each key, no residue.
+        let none = [Vec::new(), Vec::new()];
         assert_eq!(
-            eval.eval_deltas(8, &other, &[Vec::new(), Vec::new()], &mut scratch),
+            eval.eval_deltas_sparse(8, &b, &none, &mut scratch),
             eval.eval(&other)
         );
         assert_eq!(
-            eval.eval_deltas(7, &clean, &[Vec::new(), Vec::new()], &mut scratch),
+            eval.eval_deltas_sparse(7, &a, &none, &mut scratch),
             eval.baseline_error()
         );
     }
@@ -829,10 +765,7 @@ mod tests {
         let base = eval.network().weight_matrices();
         for (ki, sparsity) in [0.0, 0.409, 1.0].into_iter().enumerate() {
             let clean = prune(&base, sparsity);
-            let sparse: Vec<Arc<SparseMatrix>> = clean
-                .iter()
-                .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-                .collect();
+            let sparse = sparse_twins(&clean);
             let model = SparseModel {
                 dense: &clean,
                 sparse: &sparse,
@@ -845,50 +778,11 @@ mod tests {
                     "sparsity {sparsity}: sparse trial path drifted"
                 );
             }
-            // And the sparse path agrees with the dense prefix path on a
-            // fresh scratch, multi-layer case included.
-            let multi = &delta_cases()[3];
-            assert_eq!(
-                eval.eval_deltas_sparse(20 + ki as u64, &model, multi, &mut scratch),
-                eval.eval_deltas(30 + ki as u64, &clean, multi, &mut EvalScratch::default()),
-                "sparsity {sparsity}: sparse vs dense prefix paths drifted"
-            );
         }
     }
 
-    /// A dense-built prefix state reused by a same-key sparse call (and
-    /// vice versa) stays exact — the two entry points share the cache.
-    #[test]
-    fn network_eval_sparse_and_dense_entry_points_share_state() {
-        let eval = trained_eval();
-        let clean = eval.network().weight_matrices();
-        let sparse: Vec<Arc<SparseMatrix>> = clean
-            .iter()
-            .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-            .collect();
-        let model = SparseModel {
-            dense: &clean,
-            sparse: &sparse,
-        };
-        let mut scratch = EvalScratch::default();
-        let deltas = &delta_cases()[3];
-        let want = eval.eval(&materialize(&clean, deltas));
-        // Dense first (builds the state), then sparse on the same key.
-        assert_eq!(eval.eval_deltas(5, &clean, deltas, &mut scratch), want);
-        assert_eq!(
-            eval.eval_deltas_sparse(5, &model, deltas, &mut scratch),
-            want
-        );
-        // Sparse first on a fresh key, then dense reuses it.
-        assert_eq!(
-            eval.eval_deltas_sparse(6, &model, deltas, &mut scratch),
-            want
-        );
-        assert_eq!(eval.eval_deltas(6, &clean, deltas, &mut scratch), want);
-    }
-
-    /// Residual networks have no prefix cache; `eval_deltas` must fall
-    /// back to the materializing path and still agree exactly.
+    /// Residual networks have no prefix cache; `eval_deltas_sparse` must
+    /// fall back to the materializing path and still agree exactly.
     #[test]
     fn network_eval_deltas_falls_back_on_residual_networks() {
         use maxnvm_dnn::layer::Layer;
@@ -921,10 +815,7 @@ mod tests {
             eval.baseline_error()
         );
         // The sparse entry point falls back identically.
-        let sparse: Vec<Arc<SparseMatrix>> = clean
-            .iter()
-            .map(|m| Arc::new(SparseMatrix::from_matrix(m)))
-            .collect();
+        let sparse = sparse_twins(&clean);
         let model = SparseModel {
             dense: &clean,
             sparse: &sparse,

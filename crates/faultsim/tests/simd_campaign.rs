@@ -16,7 +16,7 @@ use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::storage::{StorageScheme, StoredLayer};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use maxnvm_faultsim::engine::EvalContext;
+use maxnvm_faultsim::engine::{EvalContext, RunControl};
 use maxnvm_faultsim::evaluate::NetworkEval;
 use rand::{Rng, SeedableRng};
 
@@ -87,7 +87,7 @@ fn campaign_is_byte_identical_across_tiers_and_workers() {
         force_tier_for_tests(Some(tier));
         let result = EvalContext::with_workers(CellTechnology::MlcCtt, &sa, scale, workers)
             .unwrap()
-            .run_campaign(trials, seed, &stored, &eval)
+            .run_campaign_controlled(trials, seed, &stored, &eval, &RunControl::default())
             .unwrap();
         force_tier_for_tests(None);
         result.errors

@@ -16,6 +16,7 @@ use maxnvm_faultsim::{
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const TECH: CellTechnology = CellTechnology::MlcCtt;
 
@@ -46,9 +47,15 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// A complete, verified snapshot of the fixture campaign, as text.
-fn complete_snapshot_text() -> String {
+///
+/// The tests run concurrently and each may call this many times, so every
+/// call writes its own file: `caller` plus a process-wide counter. A
+/// shared path would let one call delete another's snapshot mid-read.
+fn complete_snapshot_text(caller: &str) -> String {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let (stored, eval) = fixture();
-    let ckpt = temp_path("source");
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let ckpt = temp_path(&format!("source-{caller}-{call}"));
     let _ = std::fs::remove_file(&ckpt);
     let control = RunControl {
         checkpoint: Some(CheckpointConfig::new(&ckpt).every(1).keep_on_success()),
@@ -70,7 +77,7 @@ fn complete_snapshot_text() -> String {
 
 #[test]
 fn every_byte_boundary_truncation_parses_typed_or_whole() {
-    let text = complete_snapshot_text();
+    let text = complete_snapshot_text("every-byte");
     assert!(text.is_ascii(), "byte boundaries must be char boundaries");
     assert!(text.len() > 100, "fixture snapshot suspiciously small");
     let full = CampaignCheckpoint::from_text(&text).expect("the whole snapshot parses");
@@ -107,7 +114,7 @@ fn resume_from_any_truncation_is_typed_or_byte_identical() {
             &eval,
         )
         .expect("uninterrupted run");
-    let text = complete_snapshot_text();
+    let text = complete_snapshot_text("resume");
     let ckpt = temp_path("resume");
     let cuts = (0..=text.len())
         .step_by(37)
@@ -142,7 +149,7 @@ proptest! {
         cut_frac in 0.0f64..1.0,
         garbage in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let text = complete_snapshot_text();
+        let text = complete_snapshot_text("random-tears");
         let cut = ((text.len() as f64) * cut_frac) as usize;
         let mut bytes = text.as_bytes()[..cut.min(text.len())].to_vec();
         bytes.extend_from_slice(&garbage);

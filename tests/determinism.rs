@@ -112,7 +112,7 @@ fn engine_dse_is_identical_at_any_worker_count() {
     // The engine seeds per (scheme, trial) and assembles results by
     // index, so the point vector must be byte-identical whether one
     // worker or every core runs the sweep.
-    use maxnvm_faultsim::engine::EvalContext;
+    use maxnvm_faultsim::engine::{EvalContext, RunControl};
     let (layers, eval, cfg) = dse_fixture();
     let sa = SenseAmp::paper_default();
     let run = |workers| {
@@ -123,7 +123,7 @@ fn engine_dse_is_identical_at_any_worker_count() {
             workers,
         )
         .expect("context")
-        .run_dse(&layers, &eval, &cfg)
+        .run_dse_controlled(&layers, &eval, &cfg, &RunControl::default())
         .expect("dse")
     };
     let max = std::thread::available_parallelism()

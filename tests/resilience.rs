@@ -254,7 +254,13 @@ fn interrupted_run_resumes_byte_identical_across_worker_counts() {
     // Uninterrupted truth, single worker.
     let ctx1 = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 1).expect("ctx");
     let uninterrupted = ctx1
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .run_campaign_controlled(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &RunControl::default(),
+        )
         .expect("uninterrupted run");
     // Interrupt a checkpointed run partway (cancel after 6 evals).
     let token = CancelToken::new();
@@ -506,10 +512,97 @@ fn early_stopping_halts_a_decisive_campaign_deterministically() {
     // runs its full budget.
     let full = EvalContext::with_workers(TECH, &sa(), c.rate_scale, 2)
         .expect("ctx")
-        .run_campaign(c.trials, c.seed, std::slice::from_ref(&stored), &eval)
+        .run_campaign_controlled(
+            c.trials,
+            c.seed,
+            std::slice::from_ref(&stored),
+            &eval,
+            &RunControl::default(),
+        )
         .expect("full run");
     assert_eq!(full.completed_trials, c.trials);
     assert!(!full.stopped_early);
+}
+
+/// The checkpoint fingerprint of every run kind is part of the on-disk
+/// format: a snapshot written by an older build must still verify (and
+/// so resume) under a newer one. The literals are the released
+/// fingerprints of a small run of each kind with early stopping and the
+/// panic hook on; any change to the fingerprinted bytes or their order
+/// fails here. A deliberate trial-semantics bump changes them all.
+#[test]
+fn checkpoint_fingerprints_are_stable_across_run_kinds() {
+    use maxnvm_encoding::StructureKind;
+    use maxnvm_faultsim::{CampaignCheckpoint, DseConfig};
+    let (stored, eval) = fixture();
+    let layers = {
+        let spec = zoo::vgg12();
+        let m = spec.layers[4].sample_matrix(spec.paper.sparsity, 17, 48, 160);
+        vec![ClusteredLayer::from_matrix(&m, 4, 5)]
+    };
+    let control = |name: &str| {
+        let ckpt = temp_path(name);
+        let _ = std::fs::remove_file(&ckpt);
+        let control = RunControl {
+            checkpoint: Some(CheckpointConfig::new(&ckpt).keep_on_success()),
+            early_stop: Some(EarlyStop::new(eval.baseline_error(), 0.05)),
+            panic_trials: vec![1, 3],
+            ..RunControl::default()
+        };
+        (ckpt, control)
+    };
+    let fingerprint = |ckpt: PathBuf| {
+        let snapshot = CampaignCheckpoint::load(&ckpt).expect("kept snapshot");
+        let _ = std::fs::remove_file(&ckpt);
+        snapshot.fingerprint
+    };
+    let trials = 4;
+    let scaled = EvalContext::with_workers(TECH, &sa(), RATE_SCALE, 2).expect("ctx");
+    let physical = EvalContext::with_workers(TECH, &sa(), 1.0, 2).expect("ctx");
+    let slice = std::slice::from_ref(&stored);
+
+    let (ckpt, ctl) = control("golden-campaign");
+    scaled
+        .run_campaign_controlled(trials, 7, slice, &eval, &ctl)
+        .expect("campaign");
+    let campaign = fingerprint(ckpt);
+
+    let (ckpt, ctl) = control("golden-isolated");
+    scaled
+        .run_isolated_controlled(trials, 7, StructureKind::ColIndex, slice, &eval, &ctl)
+        .expect("isolated");
+    let isolated = fingerprint(ckpt);
+
+    let (ckpt, ctl) = control("golden-chips");
+    physical
+        .run_chips_controlled(trials, 7, slice, &eval, &ctl)
+        .expect("chips");
+    let chips = fingerprint(ckpt);
+
+    let (ckpt, ctl) = control("golden-dse");
+    let cfg = DseConfig {
+        campaign: Campaign {
+            trials,
+            seed: 7,
+            rate_scale: RATE_SCALE,
+        },
+        itn_bound: 0.02,
+    };
+    scaled
+        .run_dse_controlled(&layers, &eval, &cfg, &ctl)
+        .expect("dse");
+    let dse = fingerprint(ckpt);
+
+    assert_eq!(
+        [campaign, isolated, chips, dse],
+        [
+            10261827554662699614,
+            16716768568850982923,
+            8053264645053355591,
+            1156458754786752476,
+        ],
+        "checkpoint fingerprints moved: old snapshots would no longer resume"
+    );
 }
 
 // ---------------------------------------------------------------------
