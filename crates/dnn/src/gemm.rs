@@ -22,8 +22,8 @@
 //! fma(a[i,0], b[0,j], 0.0)) …)`. The micro-kernel keeps exactly one
 //! accumulator per output element, loads the current `c` tile into it,
 //! adds the panel's `kc` terms in k order, and stores the tile back, so
-//! splitting `k` into `KC`-deep panels — or `n` into per-worker column
-//! bands — does not reorder or re-associate any element's chain.
+//! splitting `k` into `KC`-deep panels — or `n` into `NC`-wide column
+//! blocks — does not reorder or re-associate any element's chain.
 //!
 //! Crucially, the chain is **tier-independent**: `f32::mul_add`, an
 //! x86 `vfmadd` lane, and a NEON `vfma` lane are all the same
@@ -51,19 +51,12 @@
 //! path only), which cannot arise from the finite inputs this crate
 //! feeds the kernels (see `DESIGN.md` §13).
 //!
-//! # Within-trial parallelism
+//! # Parallelism
 //!
-//! A [`GemmParallel`] handle installed on the [`GemmScratch`] lets one
-//! large multiply fan out over the engine's worker pool: the `n`
-//! dimension is split into `nr`-aligned column bands with **fixed
-//! ownership** — job `i` owns band `i`, no stealing — so each output
-//! element is still computed serially, in the same ascending-k order,
-//! by exactly one job. Results are byte-identical at any worker count
-//! (including the serial path) because band boundaries never split an
-//! element's chain; the split only decides *who* computes it. Small
-//! multiplies ([`PAR_MIN_WORK`], [`PAR_MIN_COLS`]) stay serial — the
-//! shape gate depends on dimensions only, never on data, and both
-//! routes are bit-identical anyway.
+//! Every multiply runs serially on the calling thread. Parallelism lives
+//! one level up: the engine runs independent fault-injection trials on
+//! its worker pool, each with its own [`GemmScratch`], so a kernel call
+//! never shares its output or packing buffers with another thread.
 
 mod dispatch;
 #[cfg(target_arch = "aarch64")]
@@ -75,8 +68,6 @@ pub use dispatch::{
     active_tier, env_force_scalar, force_tier_for_tests, parse_force_scalar, supported_tiers,
     InvalidForceScalar, SimdTier, FORCE_SCALAR_ENV,
 };
-
-use std::sync::Arc;
 
 /// Depth of one packed panel (L1-resident slice of the k dimension);
 /// shared by every tier.
@@ -98,40 +89,12 @@ const MAX_TILE: usize = 8 * 32;
 /// docs), so the cutover can never change a result, only its speed.
 pub const SPARSE_DENSE_CUTOVER: f64 = 0.35;
 
-/// Minimum columns per job before a multiply fans out; keeps each
-/// band's packing amortized and bands `nr`-aligned and non-trivial.
-pub const PAR_MIN_COLS: usize = 256;
-/// Minimum multiply-add count (`m·k·n` dense, `nnz·n` sparse) before a
-/// multiply fans out; below this the pool hand-off costs more than the
-/// compute. Shape-only, never data-dependent.
-pub const PAR_MIN_WORK: usize = 1 << 21;
-
-/// Deterministic fan-out used by [`gemm_into`]/[`sparse_gemm_into`] to
-/// run one multiply's column bands on the engine's worker pool.
-///
-/// Implementations must run `task(0..jobs)` exactly once each and
-/// return only when all calls finished; calls may run concurrently.
-/// Job indices carry **fixed ownership** of disjoint column bands, so
-/// the schedule (which thread runs which index, in what order) can
-/// never affect results.
-pub trait GemmParallel: Send + Sync + std::fmt::Debug {
-    /// Upper bound on useful concurrent jobs (e.g. pool workers + the
-    /// caller). The kernels may use fewer for small shapes.
-    fn max_jobs(&self) -> usize;
-    /// Runs `task(j)` for every `j in 0..jobs`, returning when all are
-    /// done.
-    fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync));
-}
-
-/// One set of packing buffers (one serial multiply, or one parallel
-/// job's band).
+/// Packing buffers (plus the sparse path's per-row cursors), reused by
+/// every multiply on one [`GemmScratch`].
 #[derive(Debug, Clone, Default)]
 struct PackBufs {
     packed_a: Vec<f32>,
     packed_b: Vec<f32>,
-    /// Per-`KC`-block nonzero counts of the sparse left operand, used
-    /// by [`sparse_gemm_into`] to elide packing for all-zero k panels.
-    kblock_nnz: Vec<u32>,
     /// Per-row walk positions into the sparse left operand's entries.
     cursors: Vec<usize>,
 }
@@ -139,61 +102,21 @@ struct PackBufs {
 /// Reusable state for [`gemm_into`]/[`sparse_gemm_into`]. Holding one
 /// per worker (inside the evaluation scratch) keeps the trial loop
 /// allocation-free: the buffers grow once and are reused by every
-/// subsequent multiply. Optionally carries a [`GemmParallel`] handle
-/// (plus per-job buffers) so large multiplies fan out within a trial.
+/// subsequent multiply.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
     bufs: PackBufs,
-    /// Per-job packing buffers for parallel column bands; `par_bufs[j]`
-    /// is owned exclusively by job `j` while a fan-out runs.
-    par_bufs: Vec<PackBufs>,
+    /// Per-`KC`-block nonzero counts of the sparse left operand, used
+    /// by [`sparse_gemm_into`] to elide packing for all-zero k panels.
+    kblock_nnz: Vec<u32>,
     /// Materialization buffer for the sparse→dense cutover.
     dense_a: Vec<f32>,
-    parallel: Option<Arc<dyn GemmParallel>>,
 }
-
-impl GemmScratch {
-    /// Installs (or removes) the fan-out handle used for within-trial
-    /// GEMM parallelism. `None` (the default) keeps every multiply on
-    /// the calling thread. Results are byte-identical either way.
-    pub fn set_parallel(&mut self, parallel: Option<Arc<dyn GemmParallel>>) {
-        self.parallel = parallel;
-    }
-
-    /// The installed fan-out handle, if any.
-    pub fn parallel(&self) -> Option<&Arc<dyn GemmParallel>> {
-        self.parallel.as_ref()
-    }
-}
-
-/// Raw base pointer smuggled into fan-out jobs.
-struct SendPtr<T>(*mut T);
-
-// Manual Copy/Clone: the derive would demand `T: Copy`, but only the
-// pointer is copied.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: `SendPtr` is only constructed inside this module's fan-out
-// paths, where every job dereferences a *disjoint* region (its own
-// column band of `c`, or its own `par_bufs[j]` entry) under the fixed
-// job↔band ownership documented on `GemmParallel`, and the fan-out
-// call completes before the owning `&mut` borrow is used again.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: see the `Send` justification above — shared access is only
-// ever to disjoint regions selected by the job index.
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// `c = a · b` for row-major `a` (`m`×`k`), `b` (`k`×`n`), `c` (`m`×`n`).
 ///
 /// `c` is overwritten (zeroed first). See the module docs for the
-/// summation-order guarantee; if `scratch` carries a [`GemmParallel`]
-/// handle and the shape clears the fan-out gate, column bands run on
-/// the pool with byte-identical results.
+/// summation-order guarantee.
 ///
 /// # Panics
 ///
@@ -214,38 +137,7 @@ pub fn gemm_into(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let tier = active_tier();
-    let GemmScratch {
-        bufs,
-        par_bufs,
-        parallel,
-        ..
-    } = scratch;
-    if let Some(par) = parallel.as_deref() {
-        let work = m.saturating_mul(k).saturating_mul(n);
-        let jobs = plan_jobs(par.max_jobs(), work, n);
-        if jobs > 1 {
-            if par_bufs.len() < jobs {
-                par_bufs.resize_with(jobs, PackBufs::default);
-            }
-            let cp = SendPtr(c.as_mut_ptr());
-            let bp = SendPtr(par_bufs.as_mut_ptr());
-            let nr = tier.nr();
-            par.run(jobs, &|j| {
-                // Capture the whole `SendPtr` wrappers (not their raw
-                // fields) so the closure is Sync.
-                let (cp, bp) = (cp, bp);
-                // SAFETY: fixed ownership — job j is the only accessor
-                // of `par_bufs[j]` (j < jobs ≤ par_bufs.len()) for the
-                // duration of the fan-out.
-                let job_bufs = unsafe { &mut *bp.0.add(j) };
-                let (j0, j1) = (band_edge(n, jobs, nr, j), band_edge(n, jobs, nr, j + 1));
-                gemm_cols(tier, cp, a, b, k, n, j0, j1, m, job_bufs);
-            });
-            return;
-        }
-    }
-    gemm_cols(tier, SendPtr(c.as_mut_ptr()), a, b, k, n, 0, n, m, bufs);
+    gemm_cols(active_tier(), c, a, b, m, k, n, &mut scratch.bufs);
 }
 
 /// One output row by a sequential fused dot: `out[j] = fma(row[k-1],
@@ -302,8 +194,7 @@ pub fn fused_dot(a: &[f32], b: &[f32]) -> f32 {
 /// for finite `b` — so this routine's output equals [`gemm_into`] of
 /// the materialized matrix bit for bit. Above the cutover the kernel
 /// *does* materialize (into scratch) and runs the dense path, which by
-/// the same argument cannot change the result. Fans out over column
-/// bands like the dense kernel when a [`GemmParallel`] handle is set.
+/// the same argument cannot change the result.
 ///
 /// # Panics
 ///
@@ -331,47 +222,16 @@ pub fn sparse_gemm_into(
         scratch.dense_a = dense;
         return;
     }
-    let tier = active_tier();
-    let GemmScratch {
-        bufs,
-        par_bufs,
-        parallel,
-        ..
-    } = scratch;
-    a.kblock_nnz(KC, &mut bufs.kblock_nnz);
-    let kblocks = &bufs.kblock_nnz;
-    if let Some(par) = parallel.as_deref() {
-        let work = (a.nnz()).saturating_mul(n);
-        let jobs = plan_jobs(par.max_jobs(), work, n);
-        if jobs > 1 {
-            if par_bufs.len() < jobs {
-                par_bufs.resize_with(jobs, PackBufs::default);
-            }
-            let cp = SendPtr(c.as_mut_ptr());
-            let bp = SendPtr(par_bufs.as_mut_ptr());
-            let nr = tier.nr();
-            par.run(jobs, &|j| {
-                // Capture the whole `SendPtr` wrappers (not their raw
-                // fields) so the closure is Sync.
-                let (cp, bp) = (cp, bp);
-                // SAFETY: fixed ownership — job j is the only accessor
-                // of `par_bufs[j]` (j < jobs ≤ par_bufs.len()) for the
-                // duration of the fan-out.
-                let job_bufs = unsafe { &mut *bp.0.add(j) };
-                let (j0, j1) = (band_edge(n, jobs, nr, j), band_edge(n, jobs, nr, j + 1));
-                sparse_cols(tier, cp, a, b, n, j0, j1, kblocks, job_bufs);
-            });
-            return;
-        }
-    }
-    let cp = SendPtr(c.as_mut_ptr());
-    // The serial path reuses the per-job buffer slot 0 so the borrow of
-    // `bufs.kblock_nnz` (shared) and the packing buffers (mutable)
-    // don't alias.
-    if par_bufs.is_empty() {
-        par_bufs.resize_with(1, PackBufs::default);
-    }
-    sparse_cols(tier, cp, a, b, n, 0, n, kblocks, &mut par_bufs[0]);
+    a.kblock_nnz(KC, &mut scratch.kblock_nnz);
+    sparse_cols(
+        active_tier(),
+        c,
+        a,
+        b,
+        n,
+        &scratch.kblock_nnz,
+        &mut scratch.bufs,
+    );
 }
 
 /// One output row from a sparse weight row: `out[j] = Σ a[c]·b[c,j]`
@@ -397,47 +257,23 @@ pub fn sparse_row_into(out: &mut [f32], cols: &[u32], vals: &[f32], b: &[f32], k
     }
 }
 
-/// Jobs for one fan-out: 1 (serial) unless the multiply is big enough
-/// on both the work and column axes. Depends on shape only.
-fn plan_jobs(max_jobs: usize, work: usize, n: usize) -> usize {
-    if work < PAR_MIN_WORK || n < 2 * PAR_MIN_COLS {
-        return 1;
-    }
-    max_jobs.clamp(1, n / PAR_MIN_COLS)
-}
-
-/// Start column of job `j`'s band: an `nr`-aligned balanced partition
-/// of `0..n` (job `jobs` maps to `n`). Monotone in `j`, so bands are
-/// disjoint and cover `0..n` exactly.
-fn band_edge(n: usize, jobs: usize, nr: usize, j: usize) -> usize {
-    if j >= jobs {
-        n
-    } else {
-        n * j / jobs / nr * nr
-    }
-}
-
-/// Serial driver over the column range `j0..j1` of `c`: the classic
-/// jc/pc/ic loop nest with the active tier's packing shapes. Safe to
-/// run concurrently for *disjoint* column ranges — all writes land in
-/// `jc..jc+nc ⊆ j0..j1`.
+/// The jc/pc/ic loop nest over all of `c` with the active tier's
+/// packing shapes.
 #[allow(clippy::too_many_arguments)]
 fn gemm_cols(
     tier: SimdTier,
-    cp: SendPtr<f32>,
+    c: &mut [f32],
     a: &[f32],
     b: &[f32],
+    m: usize,
     k: usize,
     n: usize,
-    j0: usize,
-    j1: usize,
-    m: usize,
     bufs: &mut PackBufs,
 ) {
     let (mr, nr, mc_blk) = (tier.mr(), tier.nr(), tier.mc());
-    let mut jc = j0;
-    while jc < j1 {
-        let nc = NC.min(j1 - jc);
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
@@ -448,7 +284,7 @@ fn gemm_cols(
                 pack_a(&mut bufs.packed_a, a, k, ic, mc, pc, kc, mr);
                 macro_kernel(
                     tier,
-                    cp,
+                    c,
                     &bufs.packed_a,
                     &bufs.packed_b,
                     n,
@@ -466,27 +302,24 @@ fn gemm_cols(
     }
 }
 
-/// Sparse counterpart of [`gemm_cols`] over the column range `j0..j1`:
-/// elides all-zero k panels via the shared `kblocks` census and walks
-/// each row's stored entries with per-range cursors.
-#[allow(clippy::too_many_arguments)]
+/// Sparse counterpart of [`gemm_cols`]: elides all-zero k panels via
+/// the `kblocks` census and walks each row's stored entries with
+/// per-row cursors.
 // maxnvm-lint: allow(R1/index-arith): column offsets come from the CSR invariant cols[i] < k and the asserted b.len() == k*n, so col*n panels stay in range.
 fn sparse_cols(
     tier: SimdTier,
-    cp: SendPtr<f32>,
+    c: &mut [f32],
     a: &crate::sparse::SparseMatrix,
     b: &[f32],
     n: usize,
-    j0: usize,
-    j1: usize,
     kblocks: &[u32],
     bufs: &mut PackBufs,
 ) {
     let (m, k) = (a.rows(), a.cols());
     let nr = tier.nr();
-    let mut jc = j0;
-    while jc < j1 {
-        let nc = NC.min(j1 - jc);
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
         let strips = nc.div_ceil(nr);
         bufs.cursors.clear();
         bufs.cursors.resize(m, 0);
@@ -505,11 +338,7 @@ fn sparse_cols(
             for i in 0..m {
                 let (cols, vals) = a.row(i);
                 let mut cur = bufs.cursors[i];
-                // SAFETY: rows are disjoint between loop iterations and
-                // the column range `jc..jc+nc ⊆ j0..j1` is owned by
-                // this job (fixed band ownership), so no other slice or
-                // job aliases this region; dropped before the next row.
-                let crow = unsafe { core::slice::from_raw_parts_mut(cp.0.add(i * n + jc), nc) };
+                let crow = &mut c[i * n + jc..i * n + jc + nc];
                 while cur < cols.len() && (cols[cur] as usize) < pc + kc {
                     let kk = cols[cur] as usize - pc;
                     let av = vals[cur];
@@ -598,10 +427,10 @@ fn pack_b(
 /// the live lanes' chains are identical either way, and padded lanes
 /// multiply packed zeros (a bitwise no-op never stored back).
 #[allow(clippy::too_many_arguments)]
-// maxnvm-lint: allow(R1/index-arith): indexes the packed panels with the same strip/kc/lane extents pack_a/pack_b allocated; the micro-tile loops never exceed them.
+// maxnvm-lint: allow(R1/index-arith): indexes the packed panels with the same strip/kc/lane extents pack_a/pack_b allocated, and `c` only inside the m×n block the callers' entry asserts pin; the micro-tile loops never exceed them.
 fn macro_kernel(
     tier: SimdTier,
-    cp: SendPtr<f32>,
+    c: &mut [f32],
     packed_a: &[f32],
     packed_b: &[f32],
     n: usize,
@@ -621,29 +450,20 @@ fn macro_kernel(
             let rows = mr.min(mc - asx * mr);
             let off = (ic + asx * mr) * n + jc + bs * nr;
             if rows == mr && cols == nr {
-                // SAFETY: the full tile is in bounds (`ic + asx·mr + mr
-                // ≤ m` rows of `n`-strided memory, `jc + bs·nr + nr ≤
-                // jc + nc` columns inside this call's owned band) and
-                // unaliased — fixed band ownership, serial within a
-                // job.
-                unsafe { micro_tile(tier, cp.0.add(off), n, pa, pb, kc) };
+                let tile = &mut c[off..off + (mr - 1) * n + nr];
+                // SAFETY: `tile` spans all `mr` rows of `nr` elements at
+                // stride `n` from its first element, and the exclusive
+                // borrow rules out any alias.
+                unsafe { micro_tile(tier, tile.as_mut_ptr(), n, pa, pb, kc) };
             } else {
                 for (i, srow) in stage.chunks_mut(nr).enumerate().take(rows) {
-                    // SAFETY: live-corner row `i` (`rows ≤ mr`, `cols ≤
-                    // nr`) is in bounds and owned by this job; the
-                    // shared slice is dropped before any write below.
-                    let crow = unsafe { core::slice::from_raw_parts(cp.0.add(off + i * n), cols) };
-                    srow[..cols].copy_from_slice(crow);
+                    srow[..cols].copy_from_slice(&c[off + i * n..off + i * n + cols]);
                 }
                 // SAFETY: `stage` holds mr·nr ≤ MAX_TILE floats at
                 // stride nr; `pa`/`pb` hold kc·mr / kc·nr floats.
                 unsafe { micro_tile(tier, stage.as_mut_ptr(), nr, pa, pb, kc) };
                 for (i, srow) in stage.chunks(nr).enumerate().take(rows) {
-                    // SAFETY: as above; rows are disjoint and each
-                    // slice is dropped at the end of its iteration.
-                    let crow =
-                        unsafe { core::slice::from_raw_parts_mut(cp.0.add(off + i * n), cols) };
-                    crow.copy_from_slice(&srow[..cols]);
+                    c[off + i * n..off + i * n + cols].copy_from_slice(&srow[..cols]);
                 }
             }
         }
@@ -1006,67 +826,6 @@ mod tests {
         axpy_portable(&mut d_po, &src, 0.37);
         for (h, p) in d_hw.iter().zip(&d_po) {
             assert_eq!(h.to_bits(), p.to_bits());
-        }
-    }
-
-    /// A deterministic in-process stand-in for the engine pool: runs
-    /// jobs sequentially (order irrelevant by fixed ownership).
-    #[derive(Debug)]
-    struct SeqParallel(usize);
-    impl GemmParallel for SeqParallel {
-        fn max_jobs(&self) -> usize {
-            self.0
-        }
-        fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync)) {
-            // Reverse order on purpose: band ownership makes schedule
-            // order irrelevant, and this exercises that.
-            for j in (0..jobs).rev() {
-                task(j);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_bands_are_bit_identical_to_serial() {
-        // Large enough to clear the fan-out gate on both axes.
-        let (m, k, n) = (24, 170, 2 * PAR_MIN_COLS + 2 * active_tier().nr() + 3);
-        assert!(m * k * n >= PAR_MIN_WORK);
-        let a = random(m * k, 101);
-        let b = random(k * n, 102);
-        let serial = run_gemm(&a, &b, m, k, n);
-        for jobs in [2, 3, 4, 7] {
-            let mut scratch = GemmScratch::default();
-            scratch.set_parallel(Some(Arc::new(SeqParallel(jobs))));
-            let mut c = vec![0.0f32; m * n];
-            gemm_into(&mut c, &a, &b, m, k, n, &mut scratch);
-            assert_eq!(c, serial, "jobs={jobs}");
-            // Sparse fan-out over the same bands (density below the
-            // cutover so the genuinely sparse path runs).
-            let sa = random_sparse(m * k, 103, 0.8);
-            let sp = crate::sparse::SparseMatrix::from_dense(m, k, &sa);
-            assert!(sp.density() <= SPARSE_DENSE_CUTOVER);
-            let mut cs = vec![0.0f32; m * n];
-            sparse_gemm_into(&mut cs, &sp, &b, n, &mut scratch);
-            assert_bitwise_eq(
-                &cs,
-                &run_gemm(&sa, &b, m, k, n),
-                &format!("sparse jobs={jobs}"),
-            );
-        }
-    }
-
-    #[test]
-    fn band_edges_partition_and_align() {
-        for (n, jobs, nr) in [(1024, 3, 32), (777, 2, 8), (4096, 7, 16), (513, 4, 8)] {
-            let mut prev = 0;
-            for j in 0..=jobs {
-                let e = band_edge(n, jobs, nr, j);
-                assert!(e >= prev, "monotone");
-                assert!(j == jobs || e.is_multiple_of(nr), "aligned");
-                prev = e;
-            }
-            assert_eq!(band_edge(n, jobs, nr, 0), 0);
-            assert_eq!(band_edge(n, jobs, nr, jobs), n);
         }
     }
 

@@ -44,8 +44,8 @@ pub mod zoo;
 
 pub use gemm::{
     active_tier, env_force_scalar, fused_dot, gemm_into, gemm_row_into, parse_force_scalar,
-    sparse_gemm_into, sparse_row_into, supported_tiers, GemmParallel, GemmScratch,
-    InvalidForceScalar, SimdTier, FORCE_SCALAR_ENV,
+    sparse_gemm_into, sparse_row_into, supported_tiers, GemmScratch, InvalidForceScalar, SimdTier,
+    FORCE_SCALAR_ENV,
 };
 pub use layer::{ForwardScratch, Layer};
 pub use network::{Network, WeightDelta};

@@ -10,7 +10,9 @@
 //! bits-per-cell, shared by `Arc` — and schedules the third onto a
 //! process-wide [`WorkerPool`]; [`EvalContext::run_dse_controlled`]
 //! additionally shares raw encodes *and clean decodes* across candidate
-//! schemes through an [`EncodeCache`].
+//! schemes through an [`EncodeCache`]. Trials are the only unit of
+//! parallel work: each runs start to finish on one pool thread with its
+//! own [`EvalScratch`], and its GEMMs run serially on that thread.
 //!
 //! The trial loop itself is O(expected faults + dirty suffix), not
 //! O(cells × test set): each stored layer is wrapped in a
@@ -95,28 +97,19 @@ use std::path::PathBuf;
 use std::sync::{Arc, Once, OnceLock};
 
 /// A checkout pool of reusable [`EvalScratch`] values: each in-flight
-/// evaluation pops one (or starts fresh) and pushes it back, so at most
-/// `workers + 1` scratch networks ever exist per run, independent of the
-/// trial count.
-///
-/// Every scratch handed out carries the run's [`pool::PoolParallel`]
-/// handle, so a single large GEMM inside one trial can fan out over the
-/// same worker pool the trials themselves run on (nested scopes are
-/// safe; results are byte-identical at any worker count per the fixed
-/// column-band ownership in `maxnvm_dnn::gemm`).
+/// evaluation pops one (or starts fresh) and pushes it back, so a run
+/// holds at most one scratch network per thread that can execute its
+/// trials — `workers + 1` (the pool plus the waiting caller) when the
+/// run has the pool to itself — independent of the trial count. The
+/// bound holds because a trial is the only unit of parallel work: the
+/// GEMM kernels run serially on the trial's thread, so no thread starts
+/// a second trial while inside one.
+#[derive(Default)]
 struct ScratchPool {
     scratches: Mutex<Vec<EvalScratch>>,
-    parallel: Arc<dyn maxnvm_dnn::GemmParallel>,
 }
 
 impl ScratchPool {
-    fn new(pool: &Arc<WorkerPool>) -> Self {
-        Self {
-            scratches: Mutex::new(Vec::new()),
-            parallel: Arc::new(pool::PoolParallel::new(Arc::clone(pool))),
-        }
-    }
-
     /// [`AccuracyEval::eval_deltas_sparse`] on a pooled scratch: the
     /// sparse trial path. `key` identifies which clean configuration the
     /// deltas are against (campaigns use `0`; a DSE keys by candidate
@@ -130,7 +123,6 @@ impl ScratchPool {
         deltas: &[Vec<WeightDelta>],
     ) -> f64 {
         let mut scratch = self.scratches.lock().pop().unwrap_or_default();
-        scratch.set_gemm_parallel(Some(Arc::clone(&self.parallel)));
         let error = eval.eval_deltas_sparse(key, clean, deltas, &mut scratch);
         self.scratches.lock().push(scratch);
         error
@@ -1010,7 +1002,7 @@ impl EvalContext {
             .zip(&sparse)
             .map(|(dense, sparse)| SparseModel { dense, sparse })
             .collect();
-        let scratch = ScratchPool::new(&self.pool);
+        let scratch = ScratchPool::default();
         let driven = drive_trials(
             &self.pool,
             groups.len(),
@@ -1193,6 +1185,78 @@ mod tests {
         for workers in [2, 4] {
             assert_eq!(run(workers).errors, w1.errors, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn trials_never_nest_inside_one_another() {
+        // A trial is the only unit of parallel work, so a run never has
+        // more evaluations in flight than threads that can execute its
+        // trials: the pool's workers plus the waiting caller. That is the
+        // `workers + 1` scratch bound `ScratchPool` documents. The
+        // 512-sample batch through a 128×64 layer makes every prefix
+        // build a multiply big enough that a thread fanning it out and
+        // helping the pool while it waits would start sibling trials.
+        use crate::evaluate::NetworkEval;
+        use maxnvm_dnn::data::gaussian_clusters;
+        use maxnvm_dnn::zoo::mlp_mini;
+        use maxnvm_encoding::storage::StorageScheme;
+        use maxnvm_encoding::EncodingKind;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Forwards to a [`NetworkEval`], tracking the peak number of
+        /// concurrent `eval_deltas_sparse` calls.
+        struct Concurrency {
+            inner: NetworkEval,
+            live: AtomicUsize,
+            peak: AtomicUsize,
+        }
+        impl AccuracyEval for Concurrency {
+            fn baseline_error(&self) -> f64 {
+                self.inner.baseline_error()
+            }
+            fn eval(&self, mats: &[LayerMatrix]) -> f64 {
+                self.inner.eval(mats)
+            }
+            fn eval_deltas_sparse(
+                &self,
+                key: u64,
+                clean: &SparseModel,
+                deltas: &[Vec<WeightDelta>],
+                scratch: &mut EvalScratch,
+            ) -> f64 {
+                let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+                self.peak.fetch_max(now, Ordering::SeqCst);
+                let error = self.inner.eval_deltas_sparse(key, clean, deltas, scratch);
+                self.live.fetch_sub(1, Ordering::SeqCst);
+                error
+            }
+        }
+
+        let net = mlp_mini(64, 4, 128, 3);
+        let test = gaussian_clusters(64, 4, 512, 2.5, 9);
+        let eval = Concurrency {
+            inner: NetworkEval::new(net.clone(), test),
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        };
+        let scheme = StorageScheme::uniform(EncodingKind::Csr, MlcConfig::MLC3);
+        let stored: Vec<StoredLayer> = net
+            .weight_matrices()
+            .iter()
+            .map(|m| StoredLayer::store(&ClusteredLayer::from_matrix(m, 4, 9), &scheme))
+            .collect();
+        let (workers, trials) = (2usize, 32usize);
+        let sa = SenseAmp::paper_default();
+        let result = EvalContext::with_workers(CellTechnology::MlcCtt, &sa, 3000.0, workers)
+            .unwrap()
+            .run_campaign_controlled(trials, 5, &stored, &eval, &RunControl::default())
+            .unwrap();
+        assert_eq!(result.errors.len(), trials);
+        let peak = eval.peak.load(Ordering::SeqCst);
+        assert!(
+            (1..=workers + 1).contains(&peak),
+            "{peak} trials in flight at once on {workers} workers"
+        );
     }
 
     #[test]

@@ -205,44 +205,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Adapter exposing the pool to the GEMM kernels as a
-/// [`maxnvm_dnn::GemmParallel`] fan-out, so one large multiply inside a
-/// trial can split its column bands across the whole machine.
-///
-/// Band↔job ownership is fixed by the kernel (job `j` owns band `j`),
-/// so the pool's dynamic scheduling — which thread runs which job, in
-/// what order — cannot affect results; `scope_map` only decides *when*
-/// each band is computed. Nested fan-out (a GEMM inside a trial that is
-/// itself a pool job) is safe because scope callers help drain the
-/// queue.
-pub struct PoolParallel(Arc<WorkerPool>);
-
-impl PoolParallel {
-    /// Wraps a shared pool handle.
-    pub fn new(pool: Arc<WorkerPool>) -> Self {
-        Self(pool)
-    }
-}
-
-impl std::fmt::Debug for PoolParallel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolParallel")
-            .field("workers", &self.0.workers())
-            .finish()
-    }
-}
-
-impl maxnvm_dnn::GemmParallel for PoolParallel {
-    fn max_jobs(&self) -> usize {
-        // The scope caller helps drain the queue, so it counts as a slot.
-        self.0.workers() + 1
-    }
-
-    fn run(&self, jobs: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.0.scope_map(jobs, task);
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     let mut queue = shared.queue.lock();
     loop {

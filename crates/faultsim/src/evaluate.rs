@@ -97,7 +97,8 @@ struct PrefixState {
 /// [`NetworkEval`] writes decoded weights into, the keyed clean-prefix /
 /// clean-MSE caches behind the delta entry points, and assorted
 /// staging buffers — so a Monte-Carlo campaign pays each allocation once
-/// per worker instead of once per trial.
+/// per worker instead of once per trial. A scratch serves one trial at a
+/// time, entirely on that trial's thread.
 ///
 /// The keyed caches hold exactly one configuration each (campaigns use a
 /// single key; a DSE sweep keys by candidate scheme and rebuilds on key
@@ -117,20 +118,6 @@ pub struct EvalScratch {
     materialized: Option<(u64, Vec<LayerMatrix>)>,
     prefix: Option<(u64, Option<PrefixState>)>,
     proxy: Option<(u64, Option<f64>)>,
-}
-
-impl EvalScratch {
-    /// Installs (or removes) the fan-out handle the GEMM kernels use to
-    /// split one large multiply across the worker pool within a trial.
-    /// Byte-identical results either way (fixed column-band ownership;
-    /// see `maxnvm_dnn::gemm`); the engine installs its pool here so
-    /// VGG16-scale forward passes use the whole machine.
-    pub fn set_gemm_parallel(
-        &mut self,
-        parallel: Option<std::sync::Arc<dyn maxnvm_dnn::GemmParallel>>,
-    ) {
-        self.forward.gemm.set_parallel(parallel);
-    }
 }
 
 /// Maps decoded weight matrices to a classification error estimate.
