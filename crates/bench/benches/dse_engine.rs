@@ -1,21 +1,14 @@
-//! Engine-parallel vs reference (pre-engine) design-space exploration.
-//!
-//! Both arms sweep the full MLC-CTT candidate space (105 schemes) over
-//! the same layers. The reference arm explores schemes one at a time,
-//! re-encoding every layer per scheme, injecting faults per cell, and
-//! running each campaign on freshly spawned scoped threads capped at
-//! eight; the engine arm shares raw encodes and clean decodes through
-//! the `EncodeCache`, precomputes the fault maps once, samples faults
-//! sparsely over `PreparedLayer`s, and flattens (scheme × trial) onto
-//! the persistent worker pool. Schemes and cell counts match exactly
-//! between the arms; errors agree statistically (the sparse sampler
-//! draws a different RNG stream with the same per-cell marginals).
+//! Engine design-space exploration: the full MLC-CTT candidate space
+//! (105 schemes) over two VGG12-shaped layers. The engine shares raw
+//! encodes and clean decodes through the `EncodeCache`, precomputes the
+//! fault maps once, samples faults sparsely over `PreparedLayer`s, and
+//! flattens (scheme × trial) onto the persistent worker pool.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use maxnvm_dnn::zoo;
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_envm::{CellTechnology, SenseAmp};
-use maxnvm_faultsim::dse::{explore_concrete, explore_concrete_reference};
+use maxnvm_faultsim::dse::explore_concrete;
 use maxnvm_faultsim::evaluate::ProxyEval;
 use maxnvm_faultsim::{Campaign, DseConfig};
 
@@ -45,20 +38,9 @@ fn bench_dse(c: &mut Criterion) {
     let (layers, eval, cfg) = fixture();
     let sa = SenseAmp::paper_default();
     let tech = CellTechnology::MlcCtt;
-    // Sanity: the deterministic outputs agree before we time the arms.
-    let engine = explore_concrete(&layers, tech, &sa, &eval, &cfg).expect("dse");
-    let reference = explore_concrete_reference(&layers, tech, &sa, &eval, &cfg);
-    assert_eq!(engine.len(), reference.len(), "arms diverged");
-    for (e, r) in engine.iter().zip(&reference) {
-        assert_eq!(e.scheme, r.scheme, "arms diverged; timings are meaningless");
-        assert_eq!(e.cells, r.cells, "arms diverged; timings are meaningless");
-    }
 
     let mut group = c.benchmark_group("dse");
     group.sample_size(10);
-    group.bench_function("reference_serial_sweep", |b| {
-        b.iter(|| explore_concrete_reference(&layers, tech, &sa, &eval, &cfg))
-    });
     group.bench_function("engine_parallel_sweep", |b| {
         b.iter(|| explore_concrete(&layers, tech, &sa, &eval, &cfg).expect("dse"))
     });

@@ -1,12 +1,10 @@
-//! Trial throughput: per-cell injection with a full decode (the
-//! pre-`PreparedLayer` path, still used by the reference arms) vs sparse
-//! fault sampling with dirty-region incremental decode, on LeNet5-scale
-//! layers at physical (~1e-5) MLC-CTT fault rates.
+//! Trial throughput: sparse fault sampling with incremental evaluation
+//! on LeNet5-scale layers at physical (~1e-5) MLC-CTT fault rates, plus
+//! GEMM kernel, VGG12-scale, early-stopping, sharded-DSE and server arms.
 //!
 //! Run with `cargo bench -p maxnvm-bench --bench trial_throughput`.
 //! Besides the stdout summary, emits `BENCH_trial_throughput.json` at
-//! the workspace root with before/after trials-per-second and the
-//! speedup, for CI and regression tracking.
+//! the workspace root for regression tracking.
 
 use maxnvm_dnn::gemm::{self, gemm_into, sparse_gemm_into, GemmScratch};
 use maxnvm_dnn::layer::Layer;
@@ -76,20 +74,6 @@ fn main() {
         .map(|p| p.expected_faults(None, &fault_for))
         .sum();
 
-    let before = throughput(|t| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(t);
-        for layer in &stored {
-            let _ = layer.decode_with_faults(&fault_for, &mut rng);
-        }
-    });
-    let after = throughput(|t| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(t);
-        for layer in &prepared {
-            let _ = layer.decode_with_faults(&fault_for, &mut rng);
-        }
-    });
-    let speedup = after / before;
-
     // Full sparse trials, end to end: sample fault deltas against the
     // shared clean decodes and evaluate them through the incremental
     // `eval_deltas` path — the engine's actual per-trial work since the
@@ -142,9 +126,6 @@ fn main() {
         spec.name,
         scheme.label()
     );
-    println!("  before (per-cell inject + full decode):   {before:>10.1} trials/s");
-    println!("  after  (sparse sample + dirty re-decode): {after:>10.1} trials/s");
-    println!("  speedup: {speedup:.1}x");
     println!("  full trial (deltas + incremental eval):   {trials_per_sec:>10.1} trials/s");
     println!("  prefix skip rate: {prefix_skip_rate:.4} of layers clean before first fault");
     println!("  simd tier: {simd_tier}");
@@ -170,14 +151,9 @@ fn main() {
         vgg.weights, vgg.density, vgg.expected_faults
     );
     println!(
-        "  dense (materialize + full dense forward):  {:>10.1} trials/s",
-        vgg.dense_trials_per_sec
-    );
-    println!(
         "  sparse (deltas + prefix + sparse suffix):  {:>10.1} trials/s",
         vgg.sparse_trials_per_sec
     );
-    println!("  sparse speedup: {:.1}x", vgg.speedup);
 
     let es = early_stopping_arm();
     let shard = shard_arm();
@@ -212,16 +188,14 @@ fn main() {
         .join(", ");
 
     let json = format!(
-        "{{\n  \"benchmark\": \"trial_throughput\",\n  \"git_sha\": \"{git_sha}\",\n  \"lint_pass_version\": {lint_pass_version},\n  \"semantics_lock_version\": {semantics_lock_version},\n  \"lint_rule_counts\": {lint_rule_counts},\n  \"model\": \"{}\",\n  \"scheme\": \"{}\",\n  \"total_cells\": {cells},\n  \"expected_faults_per_trial\": {expected:.6},\n  \"before_trials_per_sec\": {before:.3},\n  \"after_trials_per_sec\": {after:.3},\n  \"speedup\": {speedup:.3},\n  \"trials_per_sec\": {trials_per_sec:.3},\n  \"prefix_skip_rate\": {prefix_skip_rate:.4},\n  \"simd_tier\": \"{simd_tier}\",\n  \"gemm_gflops\": {gemm_gflops:.2},\n  \"sparse_gemm_gflops\": {sparse_gemm_gflops:.2},\n  \"gemm_gflops_by_tier\": {{{gemm_by_tier}}},\n  \"sparse_gemm_gflops_by_tier\": {{{sparse_by_tier}}},\n  \"sparse_dense_cutover_density\": {:.2},\n  \"sparse_dense_crossover_density\": {crossover_density:.2},\n  \"sparse_dense_crossover_sweep\": {{{sweep_json}}},\n  \"vgg12_weights\": {},\n  \"vgg12_density\": {:.4},\n  \"vgg12_expected_faults_per_trial\": {:.3},\n  \"vgg12_dense_trials_per_sec\": {:.3},\n  \"vgg12_sparse_trials_per_sec\": {:.3},\n  \"vgg12_sparse_speedup\": {:.3},\n  \"dse_fixed_trials\": {},\n  \"dse_early_stop_trials\": {},\n  \"dse_trial_savings\": {:.3},\n  \"dse_same_optimal\": {},\n  \"dse_shard_speedup_2\": {:.3},\n  \"dse_shard_speedup_4\": {:.3},\n  \"dse_shard_same_optimal\": {},\n  \"encode_cache_hit_rate\": {:.3},\n  \"server_streams\": {},\n  \"server_p99_ms\": {:.3},\n  \"server_trials_per_sec\": {:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"trial_throughput\",\n  \"git_sha\": \"{git_sha}\",\n  \"lint_pass_version\": {lint_pass_version},\n  \"semantics_lock_version\": {semantics_lock_version},\n  \"lint_rule_counts\": {lint_rule_counts},\n  \"model\": \"{}\",\n  \"scheme\": \"{}\",\n  \"total_cells\": {cells},\n  \"expected_faults_per_trial\": {expected:.6},\n  \"trials_per_sec\": {trials_per_sec:.3},\n  \"prefix_skip_rate\": {prefix_skip_rate:.4},\n  \"simd_tier\": \"{simd_tier}\",\n  \"gemm_gflops\": {gemm_gflops:.2},\n  \"sparse_gemm_gflops\": {sparse_gemm_gflops:.2},\n  \"gemm_gflops_by_tier\": {{{gemm_by_tier}}},\n  \"sparse_gemm_gflops_by_tier\": {{{sparse_by_tier}}},\n  \"sparse_dense_cutover_density\": {:.2},\n  \"sparse_dense_crossover_density\": {crossover_density:.2},\n  \"sparse_dense_crossover_sweep\": {{{sweep_json}}},\n  \"vgg12_weights\": {},\n  \"vgg12_density\": {:.4},\n  \"vgg12_expected_faults_per_trial\": {:.3},\n  \"vgg12_sparse_trials_per_sec\": {:.3},\n  \"dse_fixed_trials\": {},\n  \"dse_early_stop_trials\": {},\n  \"dse_trial_savings\": {:.3},\n  \"dse_same_optimal\": {},\n  \"dse_shard_speedup_2\": {:.3},\n  \"dse_shard_speedup_4\": {:.3},\n  \"dse_shard_same_optimal\": {},\n  \"encode_cache_hit_rate\": {:.3},\n  \"server_streams\": {},\n  \"server_p99_ms\": {:.3},\n  \"server_trials_per_sec\": {:.3}\n}}\n",
         spec.name,
         scheme.label(),
         gemm::SPARSE_DENSE_CUTOVER,
         vgg.weights,
         vgg.density,
         vgg.expected_faults,
-        vgg.dense_trials_per_sec,
         vgg.sparse_trials_per_sec,
-        vgg.speedup,
         es.fixed_trials,
         es.early_trials,
         es.savings,
@@ -341,22 +315,14 @@ struct Vgg12ScaleArm {
     weights: u64,
     density: f64,
     expected_faults: f64,
-    dense_trials_per_sec: f64,
     sparse_trials_per_sec: f64,
-    speedup: f64,
 }
 
-/// VGG12-scale end-to-end trials at the Table-2 sparsity (0.409): a
-/// ~2.2M-weight fully-connected stack, magnitude-pruned, clustered and
-/// stored under the paper scheme. The dense arm is the fully
-/// materializing reference path (per-cell fault injection, full decode
-/// of every layer, full dense forward over the test batch — what
-/// `run_reference` does and `run_chips` used to do); the sparse arm is
-/// the engine's actual trial since this refactor (sparse-sampled fault
-/// deltas against the shared clean decode, clean-prefix reuse, sparse
-/// suffix forward). Both draw the identical fault stream per trial, and
-/// the evaluator parity tests pin their results bit-for-bit equal — the
-/// speedup is pure storage-format-as-compute-format.
+/// VGG12-scale trials at the Table-2 sparsity (0.409): a ~2.2M-weight
+/// fully-connected stack, magnitude-pruned, clustered and stored under
+/// the paper scheme, evaluated the way the engine runs a trial:
+/// sparse-sampled fault deltas against the shared clean decode,
+/// clean-prefix reuse, sparse suffix forward.
 fn vgg12_scale_arm() -> Vgg12ScaleArm {
     let paper = zoo::vgg12().paper;
     let mut net = Network::new(
@@ -410,14 +376,6 @@ fn vgg12_scale_arm() -> Vgg12ScaleArm {
         maxnvm_dnn::data::gaussian_clusters(512, 10, 16, 2.5, 9),
     );
 
-    let dense_trials_per_sec = throughput(|t| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(t);
-        let mats: Vec<LayerMatrix> = stored
-            .iter()
-            .map(|l| l.decode_with_faults(&fault_for, &mut rng).0)
-            .collect();
-        std::hint::black_box(eval.eval(&mats));
-    });
     let mut scratch = EvalScratch::default();
     let sparse_trials_per_sec = throughput(|t| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(t);
@@ -427,18 +385,11 @@ fn vgg12_scale_arm() -> Vgg12ScaleArm {
             .collect();
         std::hint::black_box(eval.eval_deltas_sparse(0, &model, &deltas, &mut scratch));
     });
-    let speedup = sparse_trials_per_sec / dense_trials_per_sec;
-    assert!(
-        speedup >= 2.0,
-        "sparse trials under 2x the materializing path: {speedup:.2}"
-    );
     Vgg12ScaleArm {
         weights,
         density,
         expected_faults,
-        dense_trials_per_sec,
         sparse_trials_per_sec,
-        speedup,
     }
 }
 

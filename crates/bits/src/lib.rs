@@ -24,7 +24,7 @@
 ///
 /// Bits are stored in 64-bit words; bit `i` of the logical stream lives at
 /// word `i / 64`, bit position `i % 64`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitBuffer {
     words: Vec<u64>,
     len: usize,
@@ -180,7 +180,7 @@ impl BitBuffer {
         (0..self.len).map(move |i| self.get(i).unwrap_or(false))
     }
 
-    /// Serializes to little-endian bytes (final partial byte zero-padded).
+    /// Packs into little-endian bytes (final partial byte zero-padded).
     pub fn to_bytes(&self) -> Vec<u8> {
         let nbytes = self.len.div_ceil(8);
         let mut out = Vec::with_capacity(nbytes);

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes tests that pin the dispatch tier (process-global state).
+/// Runs the tests that pin the dispatch tier one at a time (process-global state).
 fn tier_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {

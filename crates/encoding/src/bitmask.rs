@@ -13,10 +13,9 @@ use crate::cluster::ClusteredLayer;
 use crate::csr::bit_width;
 use crate::{StructureKind, IDXSYNC_BLOCK_BITS};
 use maxnvm_bits::{BitBuffer, BitReader};
-use serde::{Deserialize, Serialize};
 
 /// A bitmask-encoded layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BitMaskLayer {
     /// Matrix rows.
     pub rows: usize,
@@ -98,7 +97,7 @@ impl BitMaskLayer {
         (self.rows * self.cols).div_ceil(self.block_bits)
     }
 
-    /// Serializes the structures into independent bit streams.
+    /// Packs the structures into independent bit streams.
     pub fn to_streams(&self) -> Vec<(StructureKind, BitBuffer)> {
         let mut out = Vec::new();
         out.push((StructureKind::Mask, self.mask.clone()));

@@ -5,10 +5,9 @@
 use crate::cluster::ClusteredLayer;
 use crate::StructureKind;
 use maxnvm_bits::{BitBuffer, BitReader};
-use serde::{Deserialize, Serialize};
 
 /// A densely stored clustered layer (indices only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     /// Matrix rows.
     pub rows: usize,
@@ -31,7 +30,7 @@ impl DenseLayer {
         }
     }
 
-    /// Serializes into a single index stream.
+    /// Packs into a single index stream.
     pub fn to_streams(&self) -> Vec<(StructureKind, BitBuffer)> {
         let mut buf = BitBuffer::with_capacity(self.indices.len() * self.index_bits as usize);
         for &i in &self.indices {

@@ -2,10 +2,8 @@
 //! over many seeded trials and aggregate, exactly the Ares flow of §4.1.
 //!
 //! The heavy lifting lives in [`crate::engine`]: `Campaign` is the
-//! serializable configuration, and its `run*` methods build a transient
-//! [`EvalContext`] on the process-wide worker pool. The pre-engine
-//! scoped-thread implementation is retained as
-//! [`Campaign::run_reference`] for parity tests and benchmarks.
+//! configuration, and its `run*` methods build a transient
+//! [`EvalContext`] on the process-wide worker pool.
 
 use crate::checkpoint::CheckpointConfig;
 use crate::engine::{EngineError, EvalContext, RunControl};
@@ -13,12 +11,10 @@ use crate::evaluate::AccuracyEval;
 use maxnvm_encoding::storage::{DecodeStats, StoredLayer};
 use maxnvm_encoding::StructureKind;
 use maxnvm_envm::{CellTechnology, FaultMap, MlcConfig, SenseAmp};
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Campaign {
     /// Number of independent trials (unique fault maps, §4.1).
     pub trials: usize,
@@ -45,7 +41,7 @@ impl Default for Campaign {
 /// trial panicked and was isolated by the engine's per-trial
 /// `catch_unwind` — the panic, recorded with the trial's seed so the
 /// failure reproduces deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrialOutcome {
     /// The trial ran to completion.
     Ok {
@@ -65,7 +61,7 @@ pub enum TrialOutcome {
 }
 
 /// A trial that panicked, as reported on [`CampaignResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedTrial {
     /// Trial index within the campaign.
     pub trial: usize,
@@ -102,7 +98,7 @@ pub fn wilson_interval(p_hat: f64, n: usize, z: f64) -> (f64, f64) {
 /// panicked are listed in `failed_trials` rather than silently dropped
 /// or allowed to unwind the sweep. `error_ci` quantifies what the
 /// reduced sample supports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Per-trial classification error (completed trials, trial order).
     pub errors: Vec<f64>,
@@ -130,40 +126,22 @@ pub struct CampaignResult {
     pub mean_cell_faults: f64,
     /// Exact expected cell faults per trial (sum of per-cell fault
     /// probabilities over every stored structure's level histogram).
-    /// Engine-run campaigns report it; the pre-engine reference arm
-    /// leaves it at `0.0`.
     pub expected_cell_faults: f64,
     /// Mean ECC-corrected codewords per trial.
     pub mean_ecc_corrected: f64,
     /// Mean uncorrectable codewords per trial.
     pub mean_ecc_uncorrectable: f64,
-    /// Non-zero weights per stored layer (clean decode). Engine-run
-    /// campaigns report it; older serialized results and the pre-engine
-    /// reference arm leave it empty.
-    #[serde(default)]
+    /// Non-zero weights per stored layer (clean decode).
     pub layer_nnz: Vec<u64>,
     /// Achieved model density: total non-zeros over total weights
     /// (`0.0` when unreported).
-    #[serde(default)]
     pub density: f64,
     /// Disk-layer counters of the run's shared encode cache (all zero
-    /// when the run had none; serde-defaulted so older serialized
-    /// results still load).
-    #[serde(default)]
+    /// when the run had none).
     pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
 impl CampaignResult {
-    pub(crate) fn from_trials(trials: Vec<(f64, DecodeStats)>) -> Self {
-        let requested = trials.len();
-        let outcomes: Vec<(usize, TrialOutcome)> = trials
-            .into_iter()
-            .enumerate()
-            .map(|(t, (error, stats))| (t, TrialOutcome::Ok { error, stats }))
-            .collect();
-        Self::from_outcomes(requested, outcomes)
-    }
-
     /// Builds a result from per-trial outcomes (`(trial index, outcome)`;
     /// indices need not be contiguous — trials missing entirely were
     /// cancelled before running). Statistics aggregate over the `Ok`
@@ -429,71 +407,6 @@ impl Campaign {
         let ctx = EvalContext::new(tech, sa, self.rate_scale)?;
         ctx.run_chips_controlled(self.trials, self.seed, stored, eval, &RunControl::default())
     }
-
-    /// The pre-engine implementation: scoped threads spawned per call,
-    /// hard-capped at eight, fault maps rebuilt (and re-scaled per
-    /// lookup) on every thread, and every trial paying a full per-cell
-    /// inject + decode pass. Retained unchanged as the reference arm for
-    /// parity tests and the speedup benchmark. [`Campaign::run`] now
-    /// samples faults sparsely (a different RNG stream with the same
-    /// per-cell marginals), so the two arms agree statistically rather
-    /// than bit for bit.
-    pub fn run_reference(
-        &self,
-        stored: &[StoredLayer],
-        tech: CellTechnology,
-        sa: &SenseAmp,
-        eval: &(dyn AccuracyEval + Sync),
-    ) -> CampaignResult {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(self.trials.max(1))
-            .min(8);
-        let mut results: Vec<(f64, DecodeStats)> = Vec::with_capacity(self.trials);
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let trial_ids: Vec<usize> = (0..self.trials).filter(|i| i % threads == t).collect();
-                let seed = self.seed;
-                let rate_scale = self.rate_scale;
-                handles.push(scope.spawn(move |_| {
-                    let base_maps = fault_maps(tech, sa);
-                    let fault_for =
-                        move |cfg: MlcConfig| Arc::new(base_maps(cfg).scaled(rate_scale));
-                    let mut out = Vec::with_capacity(trial_ids.len());
-                    for trial in trial_ids {
-                        let mut rng =
-                            rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(trial as u64));
-                        let mut stats = DecodeStats::default();
-                        let mats: Vec<_> = stored
-                            .iter()
-                            .map(|layer| {
-                                let (m, s) = layer.decode_with_faults(&fault_for, &mut rng);
-                                stats.absorb(s);
-                                m
-                            })
-                            .collect();
-                        out.push((trial, eval.eval(&mats), stats));
-                    }
-                    out
-                }));
-            }
-            let mut all: Vec<(usize, f64, DecodeStats)> = handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    // The reference arm has no per-trial isolation by
-                    // design; propagate the worker's panic verbatim.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect();
-            all.sort_by_key(|(t, _, _)| *t);
-            results = all.into_iter().map(|(_, e, s)| (e, s)).collect();
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        CampaignResult::from_trials(results)
-    }
 }
 
 #[cfg(test)]
@@ -504,7 +417,7 @@ mod tests {
     use maxnvm_encoding::cluster::ClusteredLayer;
     use maxnvm_encoding::storage::StorageScheme;
     use maxnvm_encoding::EncodingKind;
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
 
     fn stored_layer(scale: f64, bpc: MlcConfig) -> (ClusteredLayer, StoredLayer) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -591,60 +504,6 @@ mod tests {
         let a = run(3);
         let b = run(3);
         assert_eq!(a.errors, b.errors);
-    }
-
-    #[test]
-    fn engine_run_agrees_with_the_reference_implementation() {
-        // The engine samples faults sparsely (geometric skips), drawing a
-        // different RNG stream than the reference's per-cell injector, so
-        // the arms agree statistically — same Binomial marginals — not
-        // bitwise.
-        let (c, stored) = stored_layer(1.0, MlcConfig::MLC3);
-        let eval = ProxyEval::new(vec![c.reconstruct()], 0.05, 0.9);
-        let campaign = Campaign {
-            trials: 200,
-            seed: 21,
-            rate_scale: 40.0,
-        };
-        let engine = campaign
-            .run(
-                std::slice::from_ref(&stored),
-                CellTechnology::MlcRram,
-                &SenseAmp::paper_default(),
-                &eval,
-            )
-            .expect("campaign");
-        let reference = campaign.run_reference(
-            std::slice::from_ref(&stored),
-            CellTechnology::MlcRram,
-            &SenseAmp::paper_default(),
-            &eval,
-        );
-        assert_eq!(engine.errors.len(), reference.errors.len());
-        // The engine reports the analytically exact expectation, and both
-        // arms' empirical fault means must sit near it.
-        assert!(
-            engine.expected_cell_faults > 0.5,
-            "{}",
-            engine.expected_cell_faults
-        );
-        for (arm, mean) in [
-            ("engine", engine.mean_cell_faults),
-            ("reference", reference.mean_cell_faults),
-        ] {
-            let rel = (mean / engine.expected_cell_faults - 1.0).abs();
-            assert!(
-                rel < 0.25,
-                "{arm} mean {mean} vs expected {} (rel {rel})",
-                engine.expected_cell_faults
-            );
-        }
-        assert!(
-            (engine.mean_error - reference.mean_error).abs() < 0.1,
-            "engine {} vs reference {}",
-            engine.mean_error,
-            reference.mean_error
-        );
     }
 
     #[test]
@@ -767,10 +626,11 @@ mod tests {
 
     #[test]
     fn within_itn_uses_mean() {
-        let r = CampaignResult::from_trials(vec![
-            (0.1, DecodeStats::default()),
-            (0.2, DecodeStats::default()),
-        ]);
+        let ok = |error| TrialOutcome::Ok {
+            error,
+            stats: DecodeStats::default(),
+        };
+        let r = CampaignResult::from_outcomes(2, vec![(0, ok(0.1)), (1, ok(0.2))]);
         assert!((r.mean_error - 0.15).abs() < 1e-12);
         assert!(r.within_itn(0.1, 0.06));
         assert!(!r.within_itn(0.1, 0.04));

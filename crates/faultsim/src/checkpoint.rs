@@ -634,7 +634,7 @@ impl CampaignCheckpoint {
         }
     }
 
-    /// Serializes the snapshot to its line-based text format.
+    /// Renders the snapshot in its line-based text format.
     pub fn to_text(&self) -> String {
         let mut entries = self.entries.clone();
         entries.sort_by_key(|(g, t, _)| (*g, *t));

@@ -4,19 +4,18 @@
 //! the iso-training-noise bound.
 
 use crate::analytic::{aggregate_mse, layer_damage};
-use crate::campaign::{Campaign, CampaignResult};
+use crate::campaign::Campaign;
 use crate::engine::{EngineError, EvalContext, RunControl};
 use crate::evaluate::{AccuracyEval, ProxyEval};
 use maxnvm_dnn::zoo::ModelSpec;
 use maxnvm_encoding::cluster::ClusteredLayer;
 use maxnvm_encoding::estimate::{estimate_cells, LayerGeometry};
-use maxnvm_encoding::storage::{StorageScheme, StoredLayer, StructureBpc};
+use maxnvm_encoding::storage::{StorageScheme, StructureBpc};
 use maxnvm_encoding::EncodingKind;
 use maxnvm_envm::{CellTechnology, MlcConfig, SenseAmp};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated point of the design space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
     /// The storage configuration.
     pub scheme: StorageScheme,
@@ -33,22 +32,17 @@ pub struct DsePoint {
     pub trials_run: usize,
     /// Non-zero weights per layer (clean decode; spec-level exploration
     /// reports the geometry's nnz estimate).
-    #[serde(default)]
     pub layer_nnz: Vec<u64>,
-    /// Achieved model density: total non-zeros over total weights
-    /// (`0.0` when unreported, e.g. deserialized from an old sweep).
-    #[serde(default)]
+    /// Achieved model density: total non-zeros over total weights.
     pub density: f64,
     /// Disk-layer counters of the sweep's shared encode cache at the
     /// moment all encode/decode work finished (identical on every point
-    /// of one sweep; all zero without a disk-backed cache, and
-    /// serde-defaulted so older serialized sweeps still load).
-    #[serde(default)]
+    /// of one sweep; all zero without a disk-backed cache).
     pub encode_cache: maxnvm_encoding::storage::EncodeCacheStats,
 }
 
 /// DSE configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseConfig {
     /// Monte-Carlo campaign settings (concrete exploration only).
     pub campaign: Campaign,
@@ -131,10 +125,10 @@ pub fn candidate_schemes(tech: CellTechnology) -> Vec<StorageScheme> {
 /// records cells + error. Used for the trainable stand-in models.
 ///
 /// Seeding is per-(scheme, trial), so the result is identical at any
-/// worker count. Schemes and cell counts match
-/// [`explore_concrete_reference`] exactly; errors agree statistically
-/// (the sparse sampler draws a different RNG stream with the same
-/// per-cell fault marginals).
+/// worker count. The sparse sampler draws a different RNG stream than
+/// per-cell injection (`StoredLayer::decode_with_faults`) with the same
+/// per-cell fault marginals, so errors agree with a per-cell sweep
+/// statistically; schemes and cell counts agree exactly.
 pub fn explore_concrete(
     layers: &[ClusteredLayer],
     tech: CellTechnology,
@@ -148,50 +142,6 @@ pub fn explore_concrete(
         cfg,
         &RunControl::default(),
     )
-}
-
-/// The pre-engine sweep: schemes explored one at a time, each scheme
-/// freshly re-encoding every layer and running its campaign — per-cell
-/// injection, full decodes — on ad-hoc scoped threads
-/// ([`Campaign::run_reference`]). Retained as the baseline arm for
-/// parity tests and the speedup benchmark; schemes and cell counts match
-/// [`explore_concrete`] exactly, errors within Monte-Carlo noise.
-pub fn explore_concrete_reference(
-    layers: &[ClusteredLayer],
-    tech: CellTechnology,
-    sa: &SenseAmp,
-    eval: &(dyn AccuracyEval + Sync),
-    cfg: &DseConfig,
-) -> Vec<DsePoint> {
-    let baseline = eval.baseline_error();
-    let layer_nnz: Vec<u64> = layers.iter().map(|l| l.nonzeros() as u64).collect();
-    let total: u64 = layers.iter().map(|l| (l.rows * l.cols) as u64).sum();
-    let density = if total == 0 {
-        0.0
-    } else {
-        layer_nnz.iter().sum::<u64>() as f64 / total as f64
-    };
-    candidate_schemes(tech)
-        .into_iter()
-        .map(|scheme| {
-            let stored: Vec<StoredLayer> = layers
-                .iter()
-                .map(|l| StoredLayer::store(l, &scheme))
-                .collect();
-            let cells = stored.iter().map(StoredLayer::total_cells).sum();
-            let result: CampaignResult = cfg.campaign.run_reference(&stored, tech, sa, eval);
-            DsePoint {
-                scheme,
-                cells,
-                mean_error: result.mean_error,
-                passes: result.within_itn(baseline, cfg.itn_bound),
-                trials_run: result.completed_trials,
-                layer_nnz: layer_nnz.clone(),
-                density,
-                encode_cache: Default::default(),
-            }
-        })
-        .collect()
 }
 
 /// Analytic exploration for spec-level models: cells from the exact size

@@ -841,10 +841,10 @@ impl EvalContext {
     ///
     /// Seeding is per-(scheme, trial) — trial `t` of every scheme uses
     /// `seed.wrapping_add(t)` — so the returned points are identical at
-    /// any worker count. Against
-    /// [`crate::dse::explore_concrete_reference`] the schemes and cell
-    /// counts match exactly, while errors agree statistically: sparse
-    /// fault sampling draws a different RNG stream with the same
+    /// any worker count. Against a per-cell sweep (every scheme stored
+    /// and decoded with `StoredLayer::decode_with_faults`) the schemes
+    /// and cell counts match exactly, while errors agree statistically:
+    /// sparse fault sampling draws a different RNG stream with the same
     /// per-cell marginals.
     ///
     /// The control adds per-trial panic isolation, cooperative
